@@ -25,14 +25,14 @@ S = semigroup_from_generators([3, 5, 7])
 print("stable annihilators of the classes of <3,5,7>:")
 for cls in enumerate_ideal_classes(S):
     print(f"  ann {str(cls):18s} = {stable_annihilator(cls)}")
-print("intersection:", category_annihilator(S))
+print("intersection:", category_annihilator(enumerate_ideal_classes(S)))
 
 # The duality-closure shadow asks: is the canonical dual of every
 # non-principal reflexive class again reflexive?  For almost symmetric
 # semigroups it always is; the MED example <4,7,9,10> fails with a witness.
 for gens in ([3, 5, 7], [4, 7, 9, 10]):
     s = semigroup_from_generators(gens)
-    ok, witness = duality_closure_shadow(s)
+    ok, witness = duality_closure_shadow(enumerate_ideal_classes(s))
     print(f"\nduality closure for <{s}>: {ok}"
           + (f"   witness: {witness}" if witness else ""))
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .semigroups import NumericalSemigroup
 from .ideals import (
+    IdealClassList,
     RelativeIdeal,
     canonical_dual,
     difference,
@@ -33,8 +34,7 @@ from .ideals import (
     maximal_ideal,
     minimal_generators,
     normalization_ideal,
-    ring_dual,
-    sum as ideal_sum,
+    trace_ideal,
     unit_ideal,
 )
 from .rings import conductor_ideal
@@ -53,6 +53,10 @@ TAG_SINGULAR_UPPER = "SingularUpperBound"
 TAG_THEOREM_A_SHADOW = "TheoremAShadow"
 
 
+class InconsistentCertificate(RuntimeError):
+    """Two statements the certificate relies on disagree; indicates a bug."""
+
+
 def stable_annihilator(e: RelativeIdeal) -> RelativeIdeal:
     """Annihilator of the stable endomorphisms of E, as an ideal of S.
 
@@ -60,27 +64,27 @@ def stable_annihilator(e: RelativeIdeal) -> RelativeIdeal:
     the free module, so nothing is left to annihilate.
     """
     endos = difference(e, e)
-    through_free = ideal_sum(e, ring_dual(e))
-    return difference(through_free, endos)
+    return difference(trace_ideal(e), endos)
 
 
-def category_annihilator(s: NumericalSemigroup) -> RelativeIdeal:
+def category_annihilator(classes: IdealClassList) -> RelativeIdeal:
     """Intersection of the stable annihilators over every monomial ideal
-    class.  Reported as computed, never replaced by the expected value."""
-    acc = unit_ideal(s)
-    for cls in enumerate_ideal_classes(s):
+    class of ``classes.parent``, as listed by enumerate_ideal_classes.
+    Reported as computed, never replaced by the expected value."""
+    acc = unit_ideal(classes.parent)
+    for cls in classes:
         acc = intersect(acc, stable_annihilator(cls))
     return acc
 
 
 def duality_closure_shadow(
-    s: NumericalSemigroup,
+    classes: IdealClassList,
 ) -> tuple[bool, RelativeIdeal | None]:
-    """Whether the canonical dual of every non-principal reflexive class is
-    again reflexive.  On failure returns the first witness in enumeration
-    order."""
-    unit = unit_ideal(s)
-    for cls in enumerate_ideal_classes(s):
+    """Whether the canonical dual of every non-principal reflexive class in
+    ``classes`` is again reflexive.  On failure returns the first witness
+    in enumeration order."""
+    unit = unit_ideal(classes.parent)
+    for cls in classes:
         if cls == unit:
             continue
         if not is_reflexive(cls):
@@ -145,11 +149,12 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     recorded either way.
     """
     cond = conductor_ideal(s)
-    shadow = category_annihilator(s)
-    closure, witness = duality_closure_shadow(s)
+    classes = enumerate_ideal_classes(s)
+    shadow = category_annihilator(classes)
+    closure, witness = duality_closure_shadow(classes)
 
     if not is_subset(cond, shadow):
-        raise RuntimeError(
+        raise InconsistentCertificate(
             f"conductor lower bound fails on <{s}>: "
             f"{format_ideal(cond)} vs {format_ideal(shadow)}"
         )
@@ -157,7 +162,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     if not s.is_naturals:
         normalization_ann = stable_annihilator(normalization_ideal(s))
         if normalization_ann != cond:
-            raise RuntimeError(
+            raise InconsistentCertificate(
                 f"stable annihilator of the normalization differs from the "
                 f"conductor on <{s}>"
             )
@@ -183,7 +188,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
 
     if inv.symmetric:
         if shadow != cond:
-            raise RuntimeError(f"category shadow differs from conductor on <{s}>")
+            raise InconsistentCertificate(f"category shadow differs from conductor on <{s}>")
         return build(
             STATUS_GORENSTEIN,
             value=cond,
@@ -192,7 +197,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
 
     if inv.almost_symmetric:
         if shadow != cond:
-            raise RuntimeError(f"category shadow differs from conductor on <{s}>")
+            raise InconsistentCertificate(f"category shadow differs from conductor on <{s}>")
         return build(
             STATUS_ALMOST_GORENSTEIN,
             value=cond,
@@ -201,7 +206,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
 
     upper = maximal_ideal(s)
     if not is_subset(cond, upper):
-        raise RuntimeError(f"conductor not inside the maximal ideal on <{s}>")
+        raise InconsistentCertificate(f"conductor not inside the maximal ideal on <{s}>")
     tags = [TAG_WANG, TAG_SINGULAR_UPPER]
     if closure:
         tags.append(TAG_THEOREM_A_SHADOW)

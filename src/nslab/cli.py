@@ -9,7 +9,8 @@ Subcommands:
   verify    run a verification suite over an enumeration range
 
 Exit codes: 0 on success / pass, 1 when a verify run found violations,
-2 on usage or input errors.
+2 on usage or input errors, 3 when an internal consistency check fails
+(a bug, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ import sys
 
 from .semigroups import parse_semigroup, enumerate_by_genus
 from .ideals import enumerate_ideal_classes, format_ideal, minimal_generators, is_reflexive, trace_ideal
-from .rings import classify
-from .annihilators import certify_cohomology_annihilator, stable_annihilator
+from .rings import InternalBoundExceeded, classify
+from .annihilators import (
+    InconsistentCertificate,
+    certify_cohomology_annihilator,
+    stable_annihilator,
+)
 from .harness import run_suite, emit_report, UnknownSuite, UnsupportedFormat
 
 
@@ -148,6 +153,9 @@ def main(argv=None) -> int:
     except (ValueError, UnknownSuite, UnsupportedFormat) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InternalBoundExceeded, InconsistentCertificate) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

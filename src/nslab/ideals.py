@@ -124,16 +124,6 @@ class RelativeIdeal:
             return self._mask & _ones(nbits)
         return self._mask | (_ones(nbits) ^ _ones(self.width))
 
-    def abs_mask(self, base: int, nbits: int) -> int:
-        """Membership of base + k for k in [0, nbits), for fixed-window code.
-
-        Requires base <= min so no member is lost on the left.
-        """
-        shift = self.min - base
-        if shift < 0:
-            raise ValueError("base must not exceed the least element")
-        return self.extended_mask(nbits - shift) << shift
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -398,6 +388,9 @@ class IdealClassList:
 
     def __iter__(self):
         return iter(self.classes)
+
+    def __getitem__(self, i: int) -> RelativeIdeal:
+        return self.classes[i]
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -305,20 +305,6 @@ def parse_semigroup(text: str) -> NumericalSemigroup:
     return semigroup_from_generators(gens)
 
 
-# Module-level operation aliases (the class methods carry the logic).
-
-def contains(s: NumericalSemigroup, z: int) -> bool:
-    return s.contains(z)
-
-
-def invariants(s: NumericalSemigroup) -> InvariantRecord:
-    return s.invariants()
-
-
-def apery_set(s: NumericalSemigroup, n: int) -> frozenset[int]:
-    return s.apery_set(n)
-
-
 def enumerate_by_genus(genus: int, root: NumericalSemigroup | None = None) -> list[NumericalSemigroup]:
     """All numerical semigroups of the given genus, each exactly once.
 

@@ -2,7 +2,7 @@
 
 Each suite owns one family of checks, so a failure is attributable to a
 single statement.  A suite is a function taking a :class:`SemigroupContext`
-(cached per-semigroup data) and a :class:`Recorder`; it records violations,
+(the per-semigroup class table) and a :class:`Recorder`; it records violations,
 informational findings and the number of checks executed.  The registry
 order is fixed and the iteration inside every suite is deterministic, so
 reports are reproducible byte for byte.
@@ -15,7 +15,7 @@ fail a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import annihilators as ann_mod
@@ -27,7 +27,6 @@ from .ideals import (
     difference,
     enumerate_ideal_classes,
     format_ideal,
-    intersect,
     is_reflexive,
     is_subset,
     is_translate,
@@ -103,7 +102,16 @@ class Recorder:
 
 
 class SemigroupContext:
-    """Caches the per-semigroup objects the suites keep asking for."""
+    """The class table of one semigroup.
+
+    ``classes`` lists the normalized ideal classes once; every other
+    per-class fact is a list read by class position, built on first use.
+    ``index`` maps a window mask to its class position, and since a
+    relative ideal stores its mask relative to its least element,
+    ``pos(e)`` finds the class of any ideal, translated or not.  Only the
+    translation-invariant lists (traces, reflexive, stable annihilators,
+    blowups) may be read for an ideal that is not normalized.
+    """
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
@@ -113,86 +121,73 @@ class SemigroupContext:
         self.mset = maximal_ideal(s)
         self.k = canonical_ideal(s)
         self.conductor = conductor_ideal(s)
-        self.classes = tuple(enumerate_ideal_classes(s))
-        self._trace: dict = {}
-        self._ring_dual: dict = {}
-        self._can_dual: dict = {}
-        self._reflexive: dict = {}
-        self._stable_ann: dict = {}
-        self._blowup: dict = {}
-        self._mingens: dict = {}
-        self._canred: int | None = None
-        self._classification = None
-        self._category_ann = None
+        self.classes = enumerate_ideal_classes(s)
+        self.index = {e._mask: i for i, e in enumerate(self.classes)}
 
-    # small keyed caches; ideals are hashable
+    def pos(self, e: RelativeIdeal) -> int:
+        return self.index[e._mask]
 
-    def trace(self, e: RelativeIdeal) -> RelativeIdeal:
-        r = self._trace.get(e)
-        if r is None:
-            r = self._trace[e] = trace_ideal(e)
-        return r
+    @cached_property
+    def ring_duals(self) -> list[RelativeIdeal]:
+        return [ring_dual(e) for e in self.classes]
 
-    def ring_dual(self, e: RelativeIdeal) -> RelativeIdeal:
-        r = self._ring_dual.get(e)
-        if r is None:
-            r = self._ring_dual[e] = ring_dual(e)
-        return r
+    @cached_property
+    def can_duals(self) -> list[RelativeIdeal]:
+        return [canonical_dual(e) for e in self.classes]
 
-    def can_dual(self, e: RelativeIdeal) -> RelativeIdeal:
-        r = self._can_dual.get(e)
-        if r is None:
-            r = self._can_dual[e] = canonical_dual(e)
-        return r
+    @cached_property
+    def traces(self) -> list[RelativeIdeal]:
+        return [trace_ideal(e) for e in self.classes]
 
-    def reflexive(self, e: RelativeIdeal) -> bool:
-        r = self._reflexive.get(e)
-        if r is None:
-            r = self._reflexive[e] = is_reflexive(e)
-        return r
+    @cached_property
+    def reflexive(self) -> list[bool]:
+        return [is_reflexive(e) for e in self.classes]
 
-    def stable_ann(self, e: RelativeIdeal) -> RelativeIdeal:
-        key = normalize(e)[0]  # translation invariant
-        r = self._stable_ann.get(key)
-        if r is None:
-            r = self._stable_ann[key] = ann_mod.stable_annihilator(key)
-        return r
+    @cached_property
+    def dual_reflexive(self) -> list[bool]:
+        """Whether the canonical dual of each class is reflexive."""
+        return [self.reflexive[self.pos(d)] for d in self.can_duals]
 
-    def blowup_of(self, e: RelativeIdeal) -> RelativeIdeal:
-        r = self._blowup.get(e)
-        if r is None:
-            r = self._blowup[e] = blowup(e)
-        return r
+    @cached_property
+    def stable_anns(self) -> list[RelativeIdeal]:
+        return [ann_mod.stable_annihilator(e) for e in self.classes]
 
-    def mingens(self, e: RelativeIdeal) -> tuple[int, ...]:
-        r = self._mingens.get(e)
-        if r is None:
-            r = self._mingens[e] = minimal_generators(e)
-        return r
+    @cached_property
+    def blowups(self) -> list[RelativeIdeal]:
+        return [blowup(e) for e in self.classes]
 
-    @property
+    @cached_property
+    def mingens(self) -> list[tuple[int, ...]]:
+        return [minimal_generators(e) for e in self.classes]
+
+    @cached_property
+    def sums(self) -> list[list[int]]:
+        """``sums[i][j]``: position of classes[i] + classes[j], which is
+        normalized again."""
+        return [
+            [self.pos(ideal_sum(e, f)) for f in self.classes] for e in self.classes
+        ]
+
+    @cached_property
+    def colons(self) -> list[list[tuple[int, int]]]:
+        """``colons[i][j]``: (position, least element) of classes[i] -
+        classes[j]."""
+        return [
+            [(self.pos(c), c.min) for c in (difference(e, f) for f in self.classes)]
+            for e in self.classes
+        ]
+
+    @cached_property
     def canred(self) -> int:
-        if self._canred is None:
-            self._canred = canonical_reduction_number(self.s)
-        return self._canred
+        return canonical_reduction_number(self.s)
 
-    @property
+    @cached_property
     def classification(self):
-        if self._classification is None:
-            self._classification = classify(self.s)
-        return self._classification
+        return classify(self.s)
 
-    @property
-    def category_ann(self) -> RelativeIdeal:
-        if self._category_ann is None:
-            acc = self.unit
-            for cls in self.classes:
-                acc = intersect(acc, self.stable_ann(cls))
-            self._category_ann = acc
-        return self._category_ann
-
-    def two_generated(self) -> list[RelativeIdeal]:
-        return [e for e in self.classes if len(self.mingens(e)) == 2]
+    def two_generated(self) -> list[int]:
+        """Positions of the classes with exactly two minimal generators."""
+        return [i for i, g in enumerate(self.mingens) if len(g) == 2]
 
 
 def _sides(*pairs) -> str:
@@ -293,31 +288,24 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     """G inside E - F exactly when G + F inside E, over all class triples.
 
-    All ideals in play are flattened onto one absolute window so the triple
-    loop is two mask tests per case.
+    Both sides are read from the colon and sum tables as masks in the
+    classes' own frame.  Every normalized G contains 0, so G sits inside
+    E - F only when that colon's least element is 0 as well.
     """
     classes = ctx.classes
     nc = len(classes)
-    width = ctx.s.frobenius + 1
-    base = -(width + 2)
-    nbits = 4 * width + 8
-    full = (1 << nbits) - 1
-    absm = [e.abs_mask(base, nbits) for e in classes]
-    colon_not = [
-        [full & ~difference(e, f).abs_mask(base, nbits) for f in classes]
-        for e in classes
-    ]
-    sums_fg = [
-        [ideal_sum(f, g).abs_mask(base, nbits) for g in classes] for f in classes
-    ]
+    masks = [e._mask for e in classes]
+    colons, sums = ctx.colons, ctx.sums
     for ei in range(nc):
-        not_e = full & ~absm[ei]
-        colon_row = colon_not[ei]
+        not_e = ~masks[ei]
         for fi in range(nc):
-            not_colon = colon_row[fi]
-            sums_row = sums_fg[fi]
-            for gi, am in enumerate(absm):
-                if (am & not_colon == 0) != (sums_row[gi] & not_e == 0):
+            ki, kmin = colons[ei][fi]
+            not_colon = ~masks[ki]
+            sums_row = sums[fi]
+            for gi, g in enumerate(masks):
+                in_colon = kmin == 0 and g & not_colon == 0
+                in_e = masks[sums_row[gi]] & not_e == 0
+                if in_colon != in_e:
                     rec.violations.append(
                         Witness(
                             semigroup=rec.semigroup,
@@ -327,8 +315,7 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
                                 format_ideal(classes[gi]),
                             ),
                             check="colonAdjunction:biconditional",
-                            details=f"G in E-F is {am & not_colon == 0} but "
-                            f"G+F in E is {sums_row[gi] & not_e == 0}",
+                            details=f"G in E-F is {in_colon} but G+F in E is {in_e}",
                         )
                     )
     rec.checks += nc * nc * nc
@@ -337,16 +324,15 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_biduality(ctx: SemigroupContext, rec: Recorder) -> None:
     """Canonical biduality up to translation; the ring bidual contains E
     and equals it exactly on reflexives."""
-    for e in ctx.classes:
-        dd = ctx.can_dual(e)
-        ddd = canonical_dual(dd)
+    for i, e in enumerate(ctx.classes):
+        ddd = canonical_dual(ctx.can_duals[i])
         rec.check(
             is_translate(e, ddd) is not None,
             "biduality:canonical-involution",
             ideals=(e,),
             details=lambda e=e, ddd=ddd: _sides(("E", e), ("DDE", ddd)),
         )
-        bidual = ring_dual(ctx.ring_dual(e))
+        bidual = ring_dual(ctx.ring_duals[i])
         rec.check(
             is_subset(e, bidual),
             "biduality:ring-bidual-contains",
@@ -354,7 +340,7 @@ def suite_biduality(ctx: SemigroupContext, rec: Recorder) -> None:
             details=lambda e=e, bidual=bidual: _sides(("E", e), ("bidual", bidual)),
         )
         rec.check(
-            (bidual == e) == ctx.reflexive(e),
+            (bidual == e) == ctx.reflexive[i],
             "biduality:reflexive-iff-equal",
             ideals=(e,),
             details=lambda e=e, bidual=bidual: _sides(("E", e), ("bidual", bidual)),
@@ -365,8 +351,9 @@ def suite_syzygy_exactness(ctx: SemigroupContext, rec: Recorder) -> None:
     """Per-degree dimension count of 0 -> J(-b) -> S(-a) + S(-b) -> E -> 0
     for every 2-generated class: the independent syzygy oracle."""
     s = ctx.s
-    for e in ctx.two_generated():
-        a, b = ctx.mingens(e)
+    for i in ctx.two_generated():
+        e = ctx.classes[i]
+        a, b = ctx.mingens[i]
         j = _syzygy_raw(e)
         bad = None
         for d in range(e.min - 1, a + b + 2 * s.frobenius + 3):
@@ -387,8 +374,8 @@ def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     """Translation invariance of the trace, trace inside the ring, and
     monotonicity under generation by translates."""
     width = ctx.s.frobenius + 1
-    for e in ctx.classes:
-        tr = ctx.trace(e)
+    traces = ctx.traces
+    for e, tr in zip(ctx.classes, traces):
         shifted_ok = all(
             trace_ideal(translate(e, x)) == tr for x in (-width - 1, -1, 1, width + 1)
         )
@@ -404,10 +391,9 @@ def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             ideals=(e,),
             details=lambda tr=tr: _sides(("tr", tr)),
         )
-    for e in ctx.classes:
-        tr_e = ctx.trace(e)
-        for h in ctx.classes:
-            tr_gen = ctx.trace(ideal_sum(e, h))
+    for e, tr_e, sums_row in zip(ctx.classes, traces, ctx.sums):
+        for h, eh in zip(ctx.classes, sums_row):
+            tr_gen = traces[eh]
             rec.check(
                 is_subset(tr_gen, tr_e),
                 "traceFacts:generation-monotone",
@@ -422,7 +408,7 @@ def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 
 def suite_conductor_stable_ann(ctx: SemigroupContext, rec: Recorder) -> None:
     """The stable annihilator of the normalization equals the conductor."""
-    got = ctx.stable_ann(ctx.nat)
+    got = ann_mod.stable_annihilator(ctx.nat)
     rec.check(
         got == ctx.conductor,
         "conductorStableAnn:normalization",
@@ -434,8 +420,7 @@ def suite_conductor_stable_ann(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_wang_lower_bound(ctx: SemigroupContext, rec: Recorder) -> None:
     """The conductor annihilates stably: it sits inside every stable
     annihilator."""
-    for e in ctx.classes:
-        got = ctx.stable_ann(e)
+    for e, got in zip(ctx.classes, ctx.stable_anns):
         rec.check(
             is_subset(ctx.conductor, got),
             "wangLowerBound:conductor-subset",
@@ -447,11 +432,14 @@ def suite_wang_lower_bound(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_lemma_chain(ctx: SemigroupContext, rec: Recorder) -> None:
     """ann(D Omega E) inside ann(E) inside ann(Omega E) for 2-generated
     classes."""
-    for e in ctx.two_generated():
+    anns = ctx.stable_anns
+    for i in ctx.two_generated():
+        e = ctx.classes[i]
         omega_e = normalize(_syzygy_raw(e))[0]
-        left = ctx.stable_ann(ctx.can_dual(omega_e))
-        mid = ctx.stable_ann(e)
-        right = ctx.stable_ann(omega_e)
+        w = ctx.pos(omega_e)
+        left = anns[ctx.pos(ctx.can_duals[w])]
+        mid = anns[i]
+        right = anns[w]
         rec.check(
             is_subset(left, mid) and is_subset(mid, right),
             "lemmaChain:inclusions",
@@ -465,49 +453,49 @@ def suite_lemma_chain(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_prop_syzygy_stability(ctx: SemigroupContext, rec: Recorder) -> None:
     """If the canonical dual of the syzygy is reflexive, the annihilators of
     E and its syzygy agree."""
-    for e in ctx.two_generated():
+    anns = ctx.stable_anns
+    for i in ctx.two_generated():
+        e = ctx.classes[i]
         omega_e = normalize(_syzygy_raw(e))[0]
-        if not ctx.reflexive(ctx.can_dual(omega_e)):
+        w = ctx.pos(omega_e)
+        if not ctx.dual_reflexive[w]:
             continue
         rec.check(
-            ctx.stable_ann(e) == ctx.stable_ann(omega_e),
+            anns[i] == anns[w],
             "propSyzygyStability:equal-annihilators",
             ideals=(e, omega_e),
-            details=lambda a=ctx.stable_ann(e), b=ctx.stable_ann(omega_e): _sides(
-                ("ann(E)", a), ("ann(W)", b)
-            ),
+            details=lambda a=anns[i], b=anns[w]: _sides(("ann(E)", a), ("ann(W)", b)),
         )
 
 
 def suite_cocohom_duality(ctx: SemigroupContext, rec: Recorder) -> None:
     """If E and its canonical dual are both reflexive their stable
     annihilators agree."""
-    for e in ctx.classes:
-        d = ctx.can_dual(e)
-        if not (ctx.reflexive(e) and ctx.reflexive(d)):
+    anns = ctx.stable_anns
+    for i, (e, d) in enumerate(zip(ctx.classes, ctx.can_duals)):
+        di = ctx.pos(d)
+        if not (ctx.reflexive[i] and ctx.reflexive[di]):
             continue
         rec.check(
-            ctx.stable_ann(e) == ctx.stable_ann(d),
+            anns[i] == anns[di],
             "cocohomDuality:equal-annihilators",
             ideals=(e, d),
-            details=lambda a=ctx.stable_ann(e), b=ctx.stable_ann(d): _sides(
-                ("ann(E)", a), ("ann(DE)", b)
-            ),
+            details=lambda a=anns[i], b=anns[di]: _sides(("ann(E)", a), ("ann(DE)", b)),
         )
 
 
 def suite_trace_containment(ctx: SemigroupContext, rec: Recorder) -> None:
     """A reflexive canonical dual forces the trace inside the canonical
     trace."""
-    tr_k = ctx.trace(ctx.k)
-    for e in ctx.classes:
-        if not ctx.reflexive(ctx.can_dual(e)):
+    tr_k = ctx.traces[ctx.pos(ctx.k)]
+    for e, tr, dual_refl in zip(ctx.classes, ctx.traces, ctx.dual_reflexive):
+        if not dual_refl:
             continue
         rec.check(
-            is_subset(ctx.trace(e), tr_k),
+            is_subset(tr, tr_k),
             "traceContainment:inside-canonical-trace",
             ideals=(e,),
-            details=lambda a=ctx.trace(e), b=tr_k: _sides(("tr(E)", a), ("tr(K)", b)),
+            details=lambda a=tr, b=tr_k: _sides(("tr(E)", a), ("tr(K)", b)),
         )
 
 
@@ -517,17 +505,18 @@ def suite_trace_criterion(ctx: SemigroupContext, rec: Recorder) -> None:
     canonical trace.  Skips semigroups with larger reduction number."""
     if ctx.canred > 2:
         return
-    tr_k = ctx.trace(ctx.k)
-    for e in ctx.classes:
-        if not ctx.reflexive(e):
+    tr_k = ctx.traces[ctx.pos(ctx.k)]
+    for e, refl, tr, dual_refl in zip(
+        ctx.classes, ctx.reflexive, ctx.traces, ctx.dual_reflexive
+    ):
+        if not refl:
             continue
-        dual_refl = ctx.reflexive(ctx.can_dual(e))
-        tr_in = is_subset(ctx.trace(e), tr_k)
+        tr_in = is_subset(tr, tr_k)
         rec.check(
             dual_refl == tr_in,
             "traceCriterion:biconditional",
             ideals=(e,),
-            details=lambda dual_refl=dual_refl, tr_in=tr_in, a=ctx.trace(e), b=tr_k: (
+            details=lambda dual_refl=dual_refl, tr_in=tr_in, a=tr, b=tr_k: (
                 f"dual reflexive {dual_refl}, trace containment {tr_in}; "
                 + _sides(("tr(E)", a), ("tr(K)", b))
             ),
@@ -541,11 +530,18 @@ def suite_trace_criterion(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     """Ulrich characterizations: via the blowup, via the two duals, the
     Hom-stability, the canonical powers, the normalization, and the
-    blowup-conductor versus trace comparison."""
+    blowup-conductor versus trace comparison.
+
+    E is I-Ulrich when I + E is a translate of E; on normalized classes
+    that is ``sums[i][e] == e``.
+    """
     k = ctx.k
-    for e in ctx.classes:
-        ulrich_k = is_ulrich(e, k)
-        duals_match = is_translate(ctx.can_dual(e), ctx.ring_dual(e)) is not None
+    classes = ctx.classes
+    sums, colons = ctx.sums, ctx.colons
+    sums_k = sums[ctx.pos(k)]
+    for i, e in enumerate(classes):
+        ulrich_k = sums_k[i] == i
+        duals_match = is_translate(ctx.can_duals[i], ctx.ring_duals[i]) is not None
         rec.check(
             ulrich_k == duals_match,
             "ulrichFacts:dual-characterization",
@@ -556,16 +552,16 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         )
         if ulrich_k:
             rec.check(
-                ctx.reflexive(ctx.can_dual(e)),
+                ctx.dual_reflexive[i],
                 "ulrichFacts:dual-reflexive",
                 ideals=(e,),
-                details=lambda d=ctx.can_dual(e): _sides(("DE", d)),
+                details=lambda d=ctx.can_duals[i]: _sides(("DE", d)),
             )
 
-        bid = difference(ctx.unit, ctx.blowup_of(e))
-        tr = ctx.trace(e)
+        bid = difference(ctx.unit, ctx.blowups[i])
+        tr = ctx.traces[i]
         equality = bid == tr
-        translate_dual = is_translate(ctx.ring_dual(e), tr) is not None
+        translate_dual = is_translate(ctx.ring_duals[i], tr) is not None
         rec.check(
             is_subset(bid, tr),
             "ulrichFacts:b-inside-trace",
@@ -581,13 +577,13 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             else "",
         )
 
-    classes = ctx.classes
     unit = ctx.unit
-    for i in classes:
-        bl = ctx.blowup_of(i)
+    for ii, i in enumerate(classes):
+        bl = ctx.blowups[ii]
+        sums_i = sums[ii]
         ulrich_row = []
-        for e in classes:
-            u = is_ulrich(e, i)
+        for ei, e in enumerate(classes):
+            u = sums_i[ei] == ei
             ulrich_row.append(u)
             via_blowup = ideal_sum(bl, e) == e
             rec.check(
@@ -600,14 +596,14 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             )
         if i == unit:
             continue  # every module is S-Ulrich; Hom-stability says nothing
-        for e, u in zip(classes, ulrich_row):
+        for ei, (e, u) in enumerate(zip(classes, ulrich_row)):
             if not u:
                 continue
             bad = None
-            for f in classes:
-                hom = difference(f, e)
-                if not is_ulrich(hom, i):
-                    bad = (f, hom)
+            for fi, f in enumerate(classes):
+                hi, hmin = colons[fi][ei]
+                if sums_i[hi] != hi:
+                    bad = (f, translate(classes[hi], hmin))
                     break
             rec.check(
                 bad is None,
@@ -645,8 +641,8 @@ def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         "canredFacts:gorenstein-iff-le-1",
         details=f"symmetric {inv.symmetric}, can.red {canred}",
     )
-    tr_k = ctx.trace(ctx.k)
-    dual_k = ctx.ring_dual(ctx.k)
+    tr_k = trace_ideal(ctx.k)
+    dual_k = ring_dual(ctx.k)
     rec.check(
         (canred <= 2) == (is_translate(dual_k, tr_k) is not None),
         "canredFacts:le-2-iff-trace-is-dual",
@@ -671,15 +667,15 @@ def suite_ag_closure(ctx: SemigroupContext, rec: Recorder) -> None:
     Ulrich for the canonical ideal and the duality-closure shadow holds."""
     if not ctx.inv.almost_symmetric:
         return
-    for e in ctx.classes:
-        if e == ctx.unit or not ctx.reflexive(e):
+    for e, refl in zip(ctx.classes, ctx.reflexive):
+        if e == ctx.unit or not refl:
             continue
         rec.check(
             is_ulrich(e, ctx.k),
             "agClosure:reflexive-is-omega-ulrich",
             ideals=(e,),
         )
-    closure, witness = ann_mod.duality_closure_shadow(ctx.s)
+    closure, witness = ann_mod.duality_closure_shadow(ctx.classes)
     rec.check(
         closure,
         "agClosure:duality-closure",
@@ -693,7 +689,7 @@ def suite_theorem_b(ctx: SemigroupContext, rec: Recorder) -> None:
     equals the conductor."""
     if not ctx.inv.almost_symmetric:
         return
-    got = ctx.category_ann
+    got = ann_mod.category_annihilator(ctx.classes)
     rec.check(
         got == ctx.conductor,
         "theoremB:category-annihilator-is-conductor",
@@ -709,16 +705,15 @@ def suite_med_shadow(ctx: SemigroupContext, rec: Recorder) -> None:
     if not ctx.inv.med or ctx.s.is_naturals:
         return
     m_class = normalize(ctx.mset)[0]
-    indicator = ctx.stable_ann(ctx.can_dual(m_class)) == ctx.mset
-    closure, _ = ann_mod.duality_closure_shadow(ctx.s)
+    ann_dm = ann_mod.stable_annihilator(canonical_dual(m_class))
+    indicator = ann_dm == ctx.mset
+    closure, _ = ann_mod.duality_closure_shadow(ctx.classes)
     if ctx.inv.almost_symmetric:
         rec.check(
             indicator,
             "medShadow:ann-dual-maximal",
             ideals=(m_class,),
-            details=_sides(
-                ("ann(D m)", ctx.stable_ann(ctx.can_dual(m_class))), ("m", ctx.mset)
-            ),
+            details=_sides(("ann(D m)", ann_dm), ("m", ctx.mset)),
         )
         rec.check(closure, "medShadow:duality-closure")
     elif indicator or closure:
@@ -736,10 +731,8 @@ def suite_far_flung(ctx: SemigroupContext, rec: Recorder) -> None:
     normalization."""
     if not ctx.classification.far_flung_gorenstein:
         return
-    for e in ctx.classes:
-        if e == ctx.unit or not ctx.reflexive(e):
-            continue
-        if not ctx.reflexive(ctx.can_dual(e)):
+    for e, refl, dual_refl in zip(ctx.classes, ctx.reflexive, ctx.dual_reflexive):
+        if e == ctx.unit or not refl or not dual_refl:
             continue
         rec.check(
             e == ctx.nat,
@@ -759,15 +752,17 @@ def suite_multiplicity3(ctx: SemigroupContext, rec: Recorder) -> None:
         "multiplicity3:canred-le-2",
         details=f"can.red {ctx.canred}",
     )
-    tr_k = ctx.trace(ctx.k)
-    for e in ctx.classes:
-        if not ctx.reflexive(e):
+    tr_k = ctx.traces[ctx.pos(ctx.k)]
+    for e, refl, tr, dual_refl in zip(
+        ctx.classes, ctx.reflexive, ctx.traces, ctx.dual_reflexive
+    ):
+        if not refl:
             continue
         rec.check(
-            ctx.reflexive(ctx.can_dual(e)) == is_subset(ctx.trace(e), tr_k),
+            dual_refl == is_subset(tr, tr_k),
             "multiplicity3:trace-biconditional",
             ideals=(e,),
-            details=_sides(("tr(E)", ctx.trace(e)), ("tr(K)", tr_k)),
+            details=_sides(("tr(E)", tr), ("tr(K)", tr_k)),
         )
 
 

@@ -127,3 +127,26 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    import nslab.annihilators as annihilators
+    import nslab.rings as rings
+    from nslab import maximal_ideal
+
+    # a conductor that is not inside the category shadow: certify's lower
+    # bound check fails
+    monkeypatch.setattr(annihilators, "conductor_ideal", maximal_ideal)
+    code, out, err = run_cli(capsys, "ca", "3,5,7")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: conductor lower bound fails on <3,5,7>")
+    assert err.count("\n") == 1
+
+    # an Ulrich test that disagrees with almost symmetry: classify's
+    # cross-check raises InternalBoundExceeded
+    is_ulrich = rings.is_ulrich
+    monkeypatch.setattr(rings, "is_ulrich", lambda e, i: not is_ulrich(e, i))
+    code, out, err = run_cli(capsys, "info", "3,5,7")
+    assert code == 3
+    assert err == "internal error: almost-symmetry test and Ulrich test disagree on <3,5,7>\n"
