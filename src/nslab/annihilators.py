@@ -63,8 +63,12 @@ def stable_annihilator(e: RelativeIdeal) -> RelativeIdeal:
     Principal E gives the whole ring: every endomorphism factors through
     the free module, so nothing is left to annihilate.
     """
-    endos = difference(e, e)
-    return difference(trace_ideal(e), endos)
+    return _stable_annihilator(e, trace_ideal(e))
+
+
+def _stable_annihilator(e: RelativeIdeal, trace: RelativeIdeal) -> RelativeIdeal:
+    """stable_annihilator(e) given the trace of e, for callers that hold it."""
+    return difference(trace, difference(e, e))
 
 
 def category_annihilator(classes: IdealClassList) -> RelativeIdeal:

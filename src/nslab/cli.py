@@ -20,14 +20,11 @@ import json
 import sys
 
 from .semigroups import parse_semigroup, enumerate_by_genus
-from .ideals import enumerate_ideal_classes, format_ideal, minimal_generators, is_reflexive, trace_ideal
+from .ideals import format_ideal
 from .rings import InternalBoundExceeded, classify
-from .annihilators import (
-    InconsistentCertificate,
-    certify_cohomology_annihilator,
-    stable_annihilator,
-)
+from .annihilators import InconsistentCertificate, certify_cohomology_annihilator
 from .harness import run_suite, emit_report, UnknownSuite, UnsupportedFormat
+from .suites import SemigroupContext
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,18 +96,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    s = parse_semigroup(args.gens)
-    rows = []
-    for cls in enumerate_ideal_classes(s):
-        rows.append(
-            {
-                "ideal": format_ideal(cls),
-                "minimal_generators": list(minimal_generators(cls)),
-                "reflexive": is_reflexive(cls),
-                "trace": format_ideal(trace_ideal(cls)),
-                "stable_annihilator": format_ideal(stable_annihilator(cls)),
-            }
+    ctx = SemigroupContext(parse_semigroup(args.gens))
+    rows = [
+        {
+            "ideal": format_ideal(cls),
+            "minimal_generators": list(gens),
+            "reflexive": refl,
+            "trace": format_ideal(tr),
+            "stable_annihilator": format_ideal(ann),
+        }
+        for cls, gens, refl, tr, ann in zip(
+            ctx.classes, ctx.mingens, ctx.reflexive, ctx.traces, ctx.stable_anns
         )
+    ]
     print(_dump(rows))
     return 0
 

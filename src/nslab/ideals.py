@@ -19,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .semigroups import NumericalSemigroup, EmptyGenerators, _ones, _bit_indices
 
@@ -397,25 +396,45 @@ class IdealClassList:
 
 
 def enumerate_ideal_classes(s: NumericalSemigroup) -> IdealClassList:
-    """Every normalized relative ideal: the sets S with some gaps adjoined,
-    filtered by closure under the generators.  Deterministic order: by
-    number of adjoined gaps, then lexicographically."""
-    gaps = sorted(s.gap_set)
-    gens = s.minimal_generators
-    out = []
-    for size in range(len(gaps) + 1):
-        for combo in combinations(gaps, size):
-            chosen = set(combo)
-            if all(
-                (g + a) in chosen or s.contains(g + a)
-                for g in combo
-                for a in gens
-            ):
-                wmask = s._mask
-                for g in combo:
-                    wmask |= 1 << g
-                out.append(RelativeIdeal(s, 0, wmask))
-    return IdealClassList(parent=s, classes=tuple(out))
+    """Every normalized relative ideal, each given as S with a set of gaps
+    adjoined.
+
+    A set G of gaps gives an ideal exactly when it is up-closed: a gap g in
+    G forces every gap g + a, for a minimal generator a, into G.  These are
+    the classes of the ideal class monoid (Casabella, D'Anna and
+    García-Sánchez).  A depth-first walk decides the gaps in decreasing
+    order, so the gaps that g forces are decided before g.  It may always
+    leave g out, and takes g in only when all of them are already chosen.
+    Every branch then ends in a class, so the work is proportional to the
+    genus times the number of classes, not to 2^genus.  The walk keeps an
+    explicit stack, so the genus is not bounded by the recursion limit.
+
+    Deterministic order: by number of adjoined gaps, then by the ascending
+    list of adjoined gaps, compared lexicographically.
+    """
+    gaps = sorted(s.gap_set, reverse=True)
+    forced = []
+    for g in gaps:
+        need = 0
+        for a in s.minimal_generators:
+            if not s.contains(g + a):
+                need |= 1 << (g + a)
+        forced.append(need)
+    found = []
+    stack = [(0, 0)]
+    while stack:
+        i, chosen = stack.pop()
+        if i == len(gaps):
+            found.append(chosen)
+            continue
+        stack.append((i + 1, chosen))
+        if forced[i] & ~chosen == 0:
+            stack.append((i + 1, chosen | 1 << gaps[i]))
+    found.sort(key=lambda m: (m.bit_count(), tuple(_bit_indices(m))))
+    return IdealClassList(
+        parent=s,
+        classes=tuple(RelativeIdeal(s, 0, s._mask | m) for m in found),
+    )
 
 
 # -- textual form ---------------------------------------------------------------

@@ -15,7 +15,7 @@ fail a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 
 from . import annihilators as ann_mod
@@ -27,6 +27,7 @@ from .ideals import (
     difference,
     enumerate_ideal_classes,
     format_ideal,
+    intersect,
     is_reflexive,
     is_subset,
     is_translate,
@@ -150,7 +151,22 @@ class SemigroupContext:
 
     @cached_property
     def stable_anns(self) -> list[RelativeIdeal]:
-        return [ann_mod.stable_annihilator(e) for e in self.classes]
+        return [
+            ann_mod._stable_annihilator(e, tr)
+            for e, tr in zip(self.classes, self.traces)
+        ]
+
+    @cached_property
+    def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
+        """``duality_closure_shadow(classes)`` read from the table: whether
+        every non-principal reflexive class has a reflexive canonical dual,
+        else the first class, in enumeration order, that does not."""
+        for e, refl, dual_refl in zip(
+            self.classes, self.reflexive, self.dual_reflexive
+        ):
+            if refl and not dual_refl and e != self.unit:
+                return False, e
+        return True, None
 
     @cached_property
     def blowups(self) -> list[RelativeIdeal]:
@@ -675,7 +691,7 @@ def suite_ag_closure(ctx: SemigroupContext, rec: Recorder) -> None:
             "agClosure:reflexive-is-omega-ulrich",
             ideals=(e,),
         )
-    closure, witness = ann_mod.duality_closure_shadow(ctx.classes)
+    closure, witness = ctx.duality_closure
     rec.check(
         closure,
         "agClosure:duality-closure",
@@ -689,7 +705,7 @@ def suite_theorem_b(ctx: SemigroupContext, rec: Recorder) -> None:
     equals the conductor."""
     if not ctx.inv.almost_symmetric:
         return
-    got = ann_mod.category_annihilator(ctx.classes)
+    got = reduce(intersect, ctx.stable_anns, ctx.unit)
     rec.check(
         got == ctx.conductor,
         "theoremB:category-annihilator-is-conductor",
@@ -704,10 +720,11 @@ def suite_med_shadow(ctx: SemigroupContext, rec: Recorder) -> None:
     residue fields, so unexpected converse indicators are informational."""
     if not ctx.inv.med or ctx.s.is_naturals:
         return
-    m_class = normalize(ctx.mset)[0]
-    ann_dm = ann_mod.stable_annihilator(canonical_dual(m_class))
+    m = ctx.pos(ctx.mset)
+    m_class = ctx.classes[m]
+    ann_dm = ctx.stable_anns[ctx.pos(ctx.can_duals[m])]
     indicator = ann_dm == ctx.mset
-    closure, _ = ann_mod.duality_closure_shadow(ctx.classes)
+    closure, _ = ctx.duality_closure
     if ctx.inv.almost_symmetric:
         rec.check(
             indicator,

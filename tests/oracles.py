@@ -96,6 +96,31 @@ def brute_members(gens, hi: int) -> set[int]:
     return out
 
 
+def brute_ideal_classes(gens) -> list[SlowSet]:
+    """Every normalized relative ideal of the semigroup generated by
+    ``gens``, as S with a subset of its gaps adjoined, found by filtering
+    all gap subsets for closure under adding a generator.  Ordered by
+    number of adjoined gaps, then by the ascending list of adjoined gaps.
+
+    Schur's bound puts the Frobenius number below min(gens) * max(gens),
+    so every integer from that product on is a member.
+    """
+    tail = min(gens) * max(gens)
+    members = brute_members(gens, tail)
+    gaps = [z for z in range(tail) if z not in members]
+    out = []
+    for size in range(len(gaps) + 1):
+        for combo in combinations(gaps, size):
+            chosen = set(combo)
+            if all(
+                g + a >= tail or g + a in members or g + a in chosen
+                for g in combo
+                for a in gens
+            ):
+                out.append(SlowSet(members | chosen, tail))
+    return out
+
+
 def brute_gap_sets(genus: int) -> set[frozenset[int]]:
     """Gap sets of all numerical semigroups of a genus, by filtering
     subsets of {1..2g} for additive closure of the complement."""

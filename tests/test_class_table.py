@@ -7,6 +7,7 @@ to be enumerated once per run.
 
 import sys
 from collections import Counter
+from functools import reduce
 
 import pytest
 
@@ -14,10 +15,15 @@ import nslab.ideals as ideals
 from nslab import (
     REGISTRY,
     SemigroupContext,
+    canonical_dual,
+    category_annihilator,
+    duality_closure_shadow,
     enumerate_up_to_genus,
+    intersect,
     normalize,
     run_suite,
     semigroup_from_generators,
+    stable_annihilator,
     translate,
 )
 from nslab.cli import main as cli_main
@@ -86,6 +92,21 @@ def test_table_matches_oracles():
             em = slow_sum(a, m_set)
             gens = tuple(z for z in a.upto(em.tail) if z not in em)
             assert ctx.mingens[i] == gens, (label, i)
+
+
+def test_table_reads_match_public_functions():
+    """theoremB, agClosure and medShadow read the table where they once
+    called category_annihilator, duality_closure_shadow and
+    stable_annihilator; the public functions stay the reference."""
+    for s in enumerate_up_to_genus(6):
+        ctx = SemigroupContext(s)
+        label = str(s)
+        shadow = reduce(intersect, ctx.stable_anns, ctx.unit)
+        assert shadow == category_annihilator(ctx.classes), label
+        assert ctx.duality_closure == duality_closure_shadow(ctx.classes), label
+        m = ctx.pos(ctx.mset)
+        ann_dm = stable_annihilator(canonical_dual(normalize(ctx.mset)[0]))
+        assert ctx.stable_anns[ctx.pos(ctx.can_duals[m])] == ann_dm, label
 
 
 S357 = semigroup_from_generators([3, 5, 7])

@@ -28,7 +28,15 @@ from nslab import (
     unit_ideal,
 )
 
-from oracles import SlowSet, agrees, from_ideal, slow_colon, slow_intersect, slow_sum
+from oracles import (
+    SlowSet,
+    agrees,
+    brute_ideal_classes,
+    from_ideal,
+    slow_colon,
+    slow_intersect,
+    slow_sum,
+)
 
 
 S357 = semigroup_from_generators([3, 5, 7])
@@ -198,6 +206,28 @@ def test_enumerate_ideal_classes():
         c.validate()
     assert unit_ideal(S357) in classes.classes
     assert normalization_ideal(S357) in classes.classes
+
+
+def test_enumerate_ideal_classes_matches_brute_oracle():
+    from nslab import enumerate_up_to_genus
+
+    for s in enumerate_up_to_genus(8):
+        classes = list(enumerate_ideal_classes(s))
+        brute = brute_ideal_classes(s.minimal_generators)
+        assert len(classes) == len(brute), s
+        for e, slow in zip(classes, brute):
+            assert e.min == 0 and agrees(e, slow), (s, e)
+
+
+@pytest.mark.parametrize(
+    "gens, count",
+    [((5, 11), 273), ((7, 9), 715), (tuple(range(9, 18)), 256)],
+)
+def test_ideal_class_counts_past_brute_force(gens, count):
+    classes = enumerate_ideal_classes(semigroup_from_generators(gens))
+    assert len(classes) == count
+    for e in classes:
+        e.validate()
 
 
 def test_operations_match_slow_oracle():

@@ -126,8 +126,9 @@ def test_apery_shape_over_enumeration():
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_by_genus(g)) for g in range(9)] == [
-        1, 1, 2, 4, 7, 12, 23, 39, 67,
+    # OEIS A007323: numerical semigroups by genus
+    assert [len(enumerate_by_genus(g)) for g in range(16)] == [
+        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
     ]
 
 
