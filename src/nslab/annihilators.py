@@ -14,17 +14,25 @@ lower bound) and the stable annihilator of the normalization (which equals
 the conductor), so the computed shadow is the conductor whenever the lower
 bound holds.  The certificate records which statements justify reporting an
 exact value for the cohomology annihilator rather than an interval.
+
+:class:`SemigroupContext` is the class table of one semigroup: its ideal
+classes, listed once, and every per-class fact (duals, traces, stable
+annihilators, sum and colon tables) read by class position.  The
+certificate, ``nslab ideals`` and every verification suite read it.
+``category_annihilator`` and ``duality_closure_shadow`` walk the class list
+directly and are kept as the reference the table is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .semigroups import NumericalSemigroup
 from .ideals import (
-    IdealClassList,
     RelativeIdeal,
     canonical_dual,
+    canonical_ideal,
     difference,
     enumerate_ideal_classes,
     format_ideal,
@@ -34,10 +42,12 @@ from .ideals import (
     maximal_ideal,
     minimal_generators,
     normalization_ideal,
+    ring_dual,
+    sum as ideal_sum,
     trace_ideal,
     unit_ideal,
 )
-from .rings import conductor_ideal
+from .rings import blowup, canonical_reduction_number, classify, conductor_ideal
 
 STATUS_REGULAR = "Exact-Regular"
 STATUS_GORENSTEIN = "Exact-Gorenstein"
@@ -71,23 +81,23 @@ def _stable_annihilator(e: RelativeIdeal, trace: RelativeIdeal) -> RelativeIdeal
     return difference(trace, difference(e, e))
 
 
-def category_annihilator(classes: IdealClassList) -> RelativeIdeal:
+def category_annihilator(classes: tuple[RelativeIdeal, ...]) -> RelativeIdeal:
     """Intersection of the stable annihilators over every monomial ideal
-    class of ``classes.parent``, as listed by enumerate_ideal_classes.
+    class, as listed by enumerate_ideal_classes (S is ``classes[0]``).
     Reported as computed, never replaced by the expected value."""
-    acc = unit_ideal(classes.parent)
+    acc = classes[0]
     for cls in classes:
         acc = intersect(acc, stable_annihilator(cls))
     return acc
 
 
 def duality_closure_shadow(
-    classes: IdealClassList,
+    classes: tuple[RelativeIdeal, ...],
 ) -> tuple[bool, RelativeIdeal | None]:
     """Whether the canonical dual of every non-principal reflexive class in
     ``classes`` is again reflexive.  On failure returns the first witness
     in enumeration order."""
-    unit = unit_ideal(classes.parent)
+    unit = classes[0]
     for cls in classes:
         if cls == unit:
             continue
@@ -96,6 +106,119 @@ def duality_closure_shadow(
         if not is_reflexive(canonical_dual(cls)):
             return False, cls
     return True, None
+
+
+class SemigroupContext:
+    """The class table of one semigroup.
+
+    ``classes`` lists the normalized ideal classes once, S first; every
+    other per-class fact is a list read by class position, built on first
+    use from the lists before it.  ``index`` maps a window mask to its
+    class position, and since a relative ideal stores its mask relative to
+    its least element, ``pos(e)`` finds the class of any ideal, translated
+    or not.  Only the translation-invariant lists (traces, reflexive,
+    stable annihilators, blowups) may be read for an ideal that is not
+    normalized.
+    """
+
+    def __init__(self, s: NumericalSemigroup):
+        self.s = s
+        self.inv = s.invariants()
+        self.unit = unit_ideal(s)
+        self.nat = normalization_ideal(s)
+        self.mset = maximal_ideal(s)
+        self.k = canonical_ideal(s)
+        self.conductor = conductor_ideal(s)
+        self.classes = enumerate_ideal_classes(s)
+        self.index = {e._mask: i for i, e in enumerate(self.classes)}
+
+    def pos(self, e: RelativeIdeal) -> int:
+        return self.index[e._mask]
+
+    @cached_property
+    def ring_duals(self) -> list[RelativeIdeal]:
+        return [ring_dual(e) for e in self.classes]
+
+    @cached_property
+    def can_duals(self) -> list[RelativeIdeal]:
+        return [canonical_dual(e) for e in self.classes]
+
+    @cached_property
+    def traces(self) -> list[RelativeIdeal]:
+        return [ideal_sum(e, d) for e, d in zip(self.classes, self.ring_duals)]
+
+    @cached_property
+    def reflexive(self) -> list[bool]:
+        """The ring dual of x + F is -x + (S - F), so the bidual of a class
+        is a translate of the ring dual of its ring dual's class."""
+        duals = self.ring_duals
+        return [
+            duals[self.pos(d)]._mask == e._mask for e, d in zip(self.classes, duals)
+        ]
+
+    @cached_property
+    def dual_reflexive(self) -> list[bool]:
+        """Whether the canonical dual of each class is reflexive."""
+        return [self.reflexive[self.pos(d)] for d in self.can_duals]
+
+    @cached_property
+    def stable_anns(self) -> list[RelativeIdeal]:
+        return [
+            _stable_annihilator(e, tr) for e, tr in zip(self.classes, self.traces)
+        ]
+
+    @cached_property
+    def category_shadow(self) -> RelativeIdeal:
+        """``category_annihilator(classes)`` read from the table."""
+        return reduce(intersect, self.stable_anns, self.unit)
+
+    @cached_property
+    def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
+        """``duality_closure_shadow(classes)`` read from the table: whether
+        every non-principal reflexive class has a reflexive canonical dual,
+        else the first class, in enumeration order, that does not.  Stops
+        there, so canonical duals are computed only up to that class."""
+        for e, refl in zip(self.classes[1:], self.reflexive[1:]):
+            if refl and not self.reflexive[self.pos(canonical_dual(e))]:
+                return False, e
+        return True, None
+
+    @cached_property
+    def blowups(self) -> list[RelativeIdeal]:
+        return [blowup(e) for e in self.classes]
+
+    @cached_property
+    def mingens(self) -> list[tuple[int, ...]]:
+        return [minimal_generators(e) for e in self.classes]
+
+    @cached_property
+    def sums(self) -> list[list[int]]:
+        """``sums[i][j]``: position of classes[i] + classes[j], which is
+        normalized again."""
+        return [
+            [self.pos(ideal_sum(e, f)) for f in self.classes] for e in self.classes
+        ]
+
+    @cached_property
+    def colons(self) -> list[list[tuple[int, int]]]:
+        """``colons[i][j]``: (position, least element) of classes[i] -
+        classes[j]."""
+        return [
+            [(self.pos(c), c.min) for c in (difference(e, f) for f in self.classes)]
+            for e in self.classes
+        ]
+
+    @cached_property
+    def canred(self) -> int:
+        return canonical_reduction_number(self.s)
+
+    @cached_property
+    def classification(self):
+        return classify(self.s)
+
+    def two_generated(self) -> list[int]:
+        """Positions of the classes with exactly two minimal generators."""
+        return [i for i, g in enumerate(self.mingens) if len(g) == 2]
 
 
 @dataclass(frozen=True)
@@ -152,10 +275,10 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     interval [conductor, maximal ideal], with the duality-closure shadow
     recorded either way.
     """
+    ctx = SemigroupContext(s)
     cond = conductor_ideal(s)
-    classes = enumerate_ideal_classes(s)
-    shadow = category_annihilator(classes)
-    closure, witness = duality_closure_shadow(classes)
+    shadow = ctx.category_shadow
+    closure, witness = ctx.duality_closure
 
     if not is_subset(cond, shadow):
         raise InconsistentCertificate(

@@ -22,9 +22,12 @@ import sys
 from .semigroups import parse_semigroup, enumerate_by_genus
 from .ideals import format_ideal
 from .rings import InternalBoundExceeded, classify
-from .annihilators import InconsistentCertificate, certify_cohomology_annihilator
+from .annihilators import (
+    InconsistentCertificate,
+    SemigroupContext,
+    certify_cohomology_annihilator,
+)
 from .harness import run_suite, emit_report, UnknownSuite, UnsupportedFormat
-from .suites import SemigroupContext
 
 
 def build_parser() -> argparse.ArgumentParser:

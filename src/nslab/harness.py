@@ -17,7 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .semigroups import NumericalSemigroup, enumerate_up_to_genus, semigroup_from_generators, parse_semigroup
-from .suites import REGISTRY, Recorder, SemigroupContext, Witness
+from .annihilators import SemigroupContext
+from .suites import REGISTRY, Recorder, Witness
 
 
 class UnknownSuite(ValueError):
@@ -108,12 +109,6 @@ def run_suite(
                 results.append(out)
                 if fail_fast and out[0]:
                     break
-
-    if fail_fast:
-        cut = next(
-            (i + 1 for i, out in enumerate(results) if out[0]), len(results)
-        )
-        results = results[:cut]
 
     violations: list[Witness] = []
     informational: list[Witness] = []

@@ -377,25 +377,7 @@ def _syzygy_raw(e: RelativeIdeal) -> RelativeIdeal:
 
 # -- isomorphism classes -------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealClassList:
-    """All normalized ideal classes of a semigroup, deduplicated up to
-    translation; always includes S itself and the normalization."""
-
-    parent: NumericalSemigroup
-    classes: tuple[RelativeIdeal, ...]
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __getitem__(self, i: int) -> RelativeIdeal:
-        return self.classes[i]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def enumerate_ideal_classes(s: NumericalSemigroup) -> IdealClassList:
+def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
     """Every normalized relative ideal, each given as S with a set of gaps
     adjoined.
 
@@ -410,7 +392,8 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> IdealClassList:
     explicit stack, so the genus is not bounded by the recursion limit.
 
     Deterministic order: by number of adjoined gaps, then by the ascending
-    list of adjoined gaps, compared lexicographically.
+    list of adjoined gaps, compared lexicographically.  So S itself comes
+    first, and the normalization (every gap adjoined) last.
     """
     gaps = sorted(s.gap_set, reverse=True)
     forced = []
@@ -431,10 +414,7 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> IdealClassList:
         if forced[i] & ~chosen == 0:
             stack.append((i + 1, chosen | 1 << gaps[i]))
     found.sort(key=lambda m: (m.bit_count(), tuple(_bit_indices(m))))
-    return IdealClassList(
-        parent=s,
-        classes=tuple(RelativeIdeal(s, 0, s._mask | m) for m in found),
-    )
+    return tuple(RelativeIdeal(s, 0, s._mask | m) for m in found)
 
 
 # -- textual form ---------------------------------------------------------------

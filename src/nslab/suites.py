@@ -2,10 +2,11 @@
 
 Each suite owns one family of checks, so a failure is attributable to a
 single statement.  A suite is a function taking a :class:`SemigroupContext`
-(the per-semigroup class table) and a :class:`Recorder`; it records violations,
-informational findings and the number of checks executed.  The registry
-order is fixed and the iteration inside every suite is deterministic, so
-reports are reproducible byte for byte.
+(the per-semigroup class table, defined in :mod:`nslab.annihilators`) and a
+:class:`Recorder`; it records violations, informational findings and the
+number of checks executed.  The registry order is fixed and the iteration
+inside every suite is deterministic, so reports are reproducible byte for
+byte.
 
 Informational findings are reserved for directions the underlying theory
 only predicts over infinite residue fields (the MED converse); they never
@@ -15,35 +16,26 @@ fail a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
-from . import annihilators as ann_mod
-from .semigroups import NumericalSemigroup, enumerate_by_genus
+from .annihilators import SemigroupContext, stable_annihilator
+from .semigroups import enumerate_by_genus
 from .ideals import (
-    RelativeIdeal,
     canonical_dual,
-    canonical_ideal,
     difference,
-    enumerate_ideal_classes,
     format_ideal,
-    intersect,
-    is_reflexive,
     is_subset,
     is_translate,
-    maximal_ideal,
-    minimal_generators,
     n_fold_sum,
-    normalization_ideal,
     normalize,
     ring_dual,
     sum as ideal_sum,
     trace_ideal,
     translate,
-    unit_ideal,
     _syzygy_raw,
 )
-from .rings import blowup, canonical_reduction_number, classify, conductor_ideal, is_ulrich
+from .rings import is_ulrich
 
 
 @dataclass(frozen=True)
@@ -76,134 +68,20 @@ class Recorder:
         messages cost nothing on the passing path."""
         self.checks += 1
         if not ok:
-            if callable(details):
-                details = details()
-            self.violations.append(
-                Witness(
-                    semigroup=self.semigroup,
-                    ideals=tuple(format_ideal(e) for e in ideals),
-                    check=check_id,
-                    details=details,
-                )
-            )
+            self.violations.append(self._witness(check_id, ideals, details))
         return ok
 
     def info(self, check_id: str, ideals=(), details="") -> None:
         self.checks += 1
-        if callable(details):
-            details = details()
-        self.informational.append(
-            Witness(
-                semigroup=self.semigroup,
-                ideals=tuple(format_ideal(e) for e in ideals),
-                check=check_id,
-                details=details,
-            )
+        self.informational.append(self._witness(check_id, ideals, details))
+
+    def _witness(self, check_id: str, ideals, details) -> Witness:
+        return Witness(
+            semigroup=self.semigroup,
+            ideals=tuple(format_ideal(e) for e in ideals),
+            check=check_id,
+            details=details() if callable(details) else details,
         )
-
-
-class SemigroupContext:
-    """The class table of one semigroup.
-
-    ``classes`` lists the normalized ideal classes once; every other
-    per-class fact is a list read by class position, built on first use.
-    ``index`` maps a window mask to its class position, and since a
-    relative ideal stores its mask relative to its least element,
-    ``pos(e)`` finds the class of any ideal, translated or not.  Only the
-    translation-invariant lists (traces, reflexive, stable annihilators,
-    blowups) may be read for an ideal that is not normalized.
-    """
-
-    def __init__(self, s: NumericalSemigroup):
-        self.s = s
-        self.inv = s.invariants()
-        self.unit = unit_ideal(s)
-        self.nat = normalization_ideal(s)
-        self.mset = maximal_ideal(s)
-        self.k = canonical_ideal(s)
-        self.conductor = conductor_ideal(s)
-        self.classes = enumerate_ideal_classes(s)
-        self.index = {e._mask: i for i, e in enumerate(self.classes)}
-
-    def pos(self, e: RelativeIdeal) -> int:
-        return self.index[e._mask]
-
-    @cached_property
-    def ring_duals(self) -> list[RelativeIdeal]:
-        return [ring_dual(e) for e in self.classes]
-
-    @cached_property
-    def can_duals(self) -> list[RelativeIdeal]:
-        return [canonical_dual(e) for e in self.classes]
-
-    @cached_property
-    def traces(self) -> list[RelativeIdeal]:
-        return [trace_ideal(e) for e in self.classes]
-
-    @cached_property
-    def reflexive(self) -> list[bool]:
-        return [is_reflexive(e) for e in self.classes]
-
-    @cached_property
-    def dual_reflexive(self) -> list[bool]:
-        """Whether the canonical dual of each class is reflexive."""
-        return [self.reflexive[self.pos(d)] for d in self.can_duals]
-
-    @cached_property
-    def stable_anns(self) -> list[RelativeIdeal]:
-        return [
-            ann_mod._stable_annihilator(e, tr)
-            for e, tr in zip(self.classes, self.traces)
-        ]
-
-    @cached_property
-    def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
-        """``duality_closure_shadow(classes)`` read from the table: whether
-        every non-principal reflexive class has a reflexive canonical dual,
-        else the first class, in enumeration order, that does not."""
-        for e, refl, dual_refl in zip(
-            self.classes, self.reflexive, self.dual_reflexive
-        ):
-            if refl and not dual_refl and e != self.unit:
-                return False, e
-        return True, None
-
-    @cached_property
-    def blowups(self) -> list[RelativeIdeal]:
-        return [blowup(e) for e in self.classes]
-
-    @cached_property
-    def mingens(self) -> list[tuple[int, ...]]:
-        return [minimal_generators(e) for e in self.classes]
-
-    @cached_property
-    def sums(self) -> list[list[int]]:
-        """``sums[i][j]``: position of classes[i] + classes[j], which is
-        normalized again."""
-        return [
-            [self.pos(ideal_sum(e, f)) for f in self.classes] for e in self.classes
-        ]
-
-    @cached_property
-    def colons(self) -> list[list[tuple[int, int]]]:
-        """``colons[i][j]``: (position, least element) of classes[i] -
-        classes[j]."""
-        return [
-            [(self.pos(c), c.min) for c in (difference(e, f) for f in self.classes)]
-            for e in self.classes
-        ]
-
-    @cached_property
-    def canred(self) -> int:
-        return canonical_reduction_number(self.s)
-
-    @cached_property
-    def classification(self):
-        return classify(self.s)
-
-    def two_generated(self) -> list[int]:
-        """Positions of the classes with exactly two minimal generators."""
-        return [i for i, g in enumerate(self.mingens) if len(g) == 2]
 
 
 def _sides(*pairs) -> str:
@@ -323,15 +201,10 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
                 in_e = masks[sums_row[gi]] & not_e == 0
                 if in_colon != in_e:
                     rec.violations.append(
-                        Witness(
-                            semigroup=rec.semigroup,
-                            ideals=(
-                                format_ideal(classes[ei]),
-                                format_ideal(classes[fi]),
-                                format_ideal(classes[gi]),
-                            ),
-                            check="colonAdjunction:biconditional",
-                            details=f"G in E-F is {in_colon} but G+F in E is {in_e}",
+                        rec._witness(
+                            "colonAdjunction:biconditional",
+                            (classes[ei], classes[fi], classes[gi]),
+                            f"G in E-F is {in_colon} but G+F in E is {in_e}",
                         )
                     )
     rec.checks += nc * nc * nc
@@ -424,7 +297,7 @@ def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 
 def suite_conductor_stable_ann(ctx: SemigroupContext, rec: Recorder) -> None:
     """The stable annihilator of the normalization equals the conductor."""
-    got = ann_mod.stable_annihilator(ctx.nat)
+    got = stable_annihilator(ctx.nat)
     rec.check(
         got == ctx.conductor,
         "conductorStableAnn:normalization",
@@ -657,8 +530,9 @@ def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         "canredFacts:gorenstein-iff-le-1",
         details=f"symmetric {inv.symmetric}, can.red {canred}",
     )
-    tr_k = trace_ideal(ctx.k)
-    dual_k = ring_dual(ctx.k)
+    kpos = ctx.pos(ctx.k)
+    tr_k = ctx.traces[kpos]
+    dual_k = ctx.ring_duals[kpos]
     rec.check(
         (canred <= 2) == (is_translate(dual_k, tr_k) is not None),
         "canredFacts:le-2-iff-trace-is-dual",
@@ -705,7 +579,7 @@ def suite_theorem_b(ctx: SemigroupContext, rec: Recorder) -> None:
     equals the conductor."""
     if not ctx.inv.almost_symmetric:
         return
-    got = reduce(intersect, ctx.stable_anns, ctx.unit)
+    got = ctx.category_shadow
     rec.check(
         got == ctx.conductor,
         "theoremB:category-annihilator-is-conductor",

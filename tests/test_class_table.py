@@ -7,7 +7,6 @@ to be enumerated once per run.
 
 import sys
 from collections import Counter
-from functools import reduce
 
 import pytest
 
@@ -17,9 +16,10 @@ from nslab import (
     SemigroupContext,
     canonical_dual,
     category_annihilator,
+    certify_cohomology_annihilator,
     duality_closure_shadow,
+    enumerate_ideal_classes,
     enumerate_up_to_genus,
-    intersect,
     normalize,
     run_suite,
     semigroup_from_generators,
@@ -95,15 +95,22 @@ def test_table_matches_oracles():
 
 
 def test_table_reads_match_public_functions():
-    """theoremB, agClosure and medShadow read the table where they once
-    called category_annihilator, duality_closure_shadow and
-    stable_annihilator; the public functions stay the reference."""
+    """theoremB, agClosure, medShadow and the `ca` certificate read the
+    table where they once called category_annihilator,
+    duality_closure_shadow and stable_annihilator; the public functions,
+    run on a fresh enumeration, stay the reference."""
     for s in enumerate_up_to_genus(6):
         ctx = SemigroupContext(s)
         label = str(s)
-        shadow = reduce(intersect, ctx.stable_anns, ctx.unit)
-        assert shadow == category_annihilator(ctx.classes), label
-        assert ctx.duality_closure == duality_closure_shadow(ctx.classes), label
+        classes = enumerate_ideal_classes(s)
+        assert classes[0] == ctx.unit, label
+        shadow = category_annihilator(classes)
+        closure = duality_closure_shadow(classes)
+        assert ctx.category_shadow == shadow, label
+        assert ctx.duality_closure == closure, label
+        cert = certify_cohomology_annihilator(s)
+        assert cert.category_annihilator_shadow == shadow, label
+        assert (cert.duality_closure, cert.duality_closure_witness) == closure, label
         m = ctx.pos(ctx.mset)
         ann_dm = stable_annihilator(canonical_dual(normalize(ctx.mset)[0]))
         assert ctx.stable_anns[ctx.pos(ctx.can_duals[m])] == ann_dm, label

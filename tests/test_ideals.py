@@ -204,8 +204,8 @@ def test_enumerate_ideal_classes():
     for c in classes:
         assert c.min == 0
         c.validate()
-    assert unit_ideal(S357) in classes.classes
-    assert normalization_ideal(S357) in classes.classes
+    assert unit_ideal(S357) in classes
+    assert normalization_ideal(S357) in classes
 
 
 def test_enumerate_ideal_classes_matches_brute_oracle():

@@ -59,7 +59,8 @@ def test_traced_outputs_match_untraced(capsys):
     assert traced == plain
     assert ideals.sum is original_sum
     calls, _ = tracer.self_times()
-    assert calls["suites.context_build"] == 8  # semigroups of genus <= 3
+    # one table per semigroup of genus <= 3, and one for `ca`
+    assert calls["suites.context_build"] == 9
     assert calls["annihilators.certify_cohomology_annihilator"] == 1
     assert tracer.counts["ideals.relative_ideals_created"] > 0
     metrics = tracer.layer_metrics()
