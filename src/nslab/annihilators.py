@@ -17,7 +17,9 @@ exact value for the cohomology annihilator rather than an interval.
 
 :class:`SemigroupContext` is the class table of one semigroup: its ideal
 classes, listed once, and every per-class fact (duals, traces, stable
-annihilators, sum and colon tables) read by class position.  The
+annihilators, minimal generators, sum and colon tables) read by class
+position; the generators and the two n x n tables are built from the
+classes' window masks by shifts and bitwise OR and AND.  The
 certificate, ``nslab ideals`` and every verification suite read it.
 ``category_annihilator`` and ``duality_closure_shadow`` walk the class list
 directly and are kept as the reference the table is tested against.
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .semigroups import NumericalSemigroup
+from .semigroups import NumericalSemigroup, _bit_indices, _ones
 from .ideals import (
     RelativeIdeal,
     canonical_dual,
@@ -113,12 +115,17 @@ class SemigroupContext:
 
     ``classes`` lists the normalized ideal classes once, S first; every
     other per-class fact is a list read by class position, built on first
-    use from the lists before it.  ``index`` maps a window mask to its
-    class position, and since a relative ideal stores its mask relative to
-    its least element, ``pos(e)`` finds the class of any ideal, translated
-    or not.  Only the translation-invariant lists (traces, reflexive,
-    stable annihilators, blowups) may be read for an ideal that is not
-    normalized.
+    use from the lists before it.  ``masks`` holds each class's window
+    mask (bit k: k is a member, for k < ``width`` = frobenius + 1; every
+    integer from ``width`` on is a member) and ``index`` maps a window
+    mask back to its class position.  Since a relative ideal stores its
+    mask relative to its least element, ``pos(e)`` finds the class of any
+    ideal, translated or not.  Only the translation-invariant lists
+    (traces, reflexive, stable annihilators, blowups) may be read for an
+    ideal that is not normalized.
+
+    The minimal generators and the ``sums`` and ``colons`` tables are
+    computed from the masks alone, with no ``RelativeIdeal`` per entry.
     """
 
     def __init__(self, s: NumericalSemigroup):
@@ -130,7 +137,9 @@ class SemigroupContext:
         self.k = canonical_ideal(s)
         self.conductor = conductor_ideal(s)
         self.classes = enumerate_ideal_classes(s)
-        self.index = {e._mask: i for i, e in enumerate(self.classes)}
+        self.masks = [e._mask for e in self.classes]
+        self.index = {m: i for i, m in enumerate(self.masks)}
+        self.width = s.frobenius + 1
 
     def pos(self, e: RelativeIdeal) -> int:
         return self.index[e._mask]
@@ -176,10 +185,16 @@ class SemigroupContext:
     def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
         """``duality_closure_shadow(classes)`` read from the table: whether
         every non-principal reflexive class has a reflexive canonical dual,
-        else the first class, in enumeration order, that does not.  Stops
-        there, so canonical duals are computed only up to that class."""
-        for e, refl in zip(self.classes[1:], self.reflexive[1:]):
-            if refl and not self.reflexive[self.pos(canonical_dual(e))]:
+        else the first class, in enumeration order, that does not.  Reads
+        ``can_duals`` when a caller has built it; otherwise stops at that
+        class, so canonical duals are computed only up to it."""
+        can_duals = self.__dict__.get("can_duals")
+        for i in range(1, len(self.classes)):
+            if not self.reflexive[i]:
+                continue
+            e = self.classes[i]
+            d = canonical_dual(e) if can_duals is None else can_duals[i]
+            if not self.reflexive[self.pos(d)]:
                 return False, e
         return True, None
 
@@ -189,24 +204,77 @@ class SemigroupContext:
 
     @cached_property
     def mingens(self) -> list[tuple[int, ...]]:
-        return [minimal_generators(e) for e in self.classes]
+        """Minimal generators of each class, ascending: the members of E
+        outside E + M, where M = S - {0} is the union of a + S over the
+        minimal generators a of S, so E + M is the union of the E + a.  A
+        normalized class has 0 and M inside it, so every generator lies in
+        the window and reads off the masks."""
+        if self.width == 0:
+            return [(0,)]
+        gens = self.s.minimal_generators
+        out = []
+        for m in self.masks:
+            covered = 0
+            for a in gens:
+                covered |= m << a
+            out.append(tuple(_bit_indices(m & ~covered)))
+        return out
 
     @cached_property
     def sums(self) -> list[list[int]]:
         """``sums[i][j]``: position of classes[i] + classes[j], which is
-        normalized again."""
-        return [
-            [self.pos(ideal_sum(e, f)) for f in self.classes] for e in self.classes
-        ]
+        normalized again.  classes[i] is the union of g + S over its
+        minimal generators g, so the sum is the union of the translates
+        g + classes[j], whose window is the OR of the shifted masks; the
+        tail of each translate lies past the window."""
+        if self.width == 0:
+            return [[0]]
+        full = _ones(self.width)
+        index, masks = self.index, self.masks
+        rows = []
+        for gens in self.mingens:
+            row = []
+            for m in masks:
+                acc = 0
+                for g in gens:
+                    acc |= m << g
+                row.append(index[acc & full])
+            rows.append(row)
+        return rows
 
     @cached_property
     def colons(self) -> list[list[tuple[int, int]]]:
         """``colons[i][j]``: (position, least element) of classes[i] -
-        classes[j]."""
-        return [
-            [(self.pos(c), c.min) for c in (difference(e, f) for f in self.classes)]
-            for e in self.classes
-        ]
+        classes[j].  The colon is the intersection of classes[i] - g over
+        the minimal generators g of classes[j]: the AND of the window of
+        classes[i], extended by w tail bits, shifted down by each g.  It
+        has no member below 0, and every z >= w is a member, so the AND cut
+        to the window is exact; it is relocated to its least element as
+        ``_from_window`` does (an empty window is the ray from w)."""
+        w = self.width
+        if w == 0:
+            return [[(0, 0)]]
+        full = _ones(w)
+        index = self.index
+        located: dict[int, tuple[int, int]] = {0: (index[full], w)}
+
+        def locate(wmask: int) -> tuple[int, int]:
+            b0 = (wmask & -wmask).bit_length() - 1
+            low = (wmask >> b0) | (full ^ _ones(w - b0))
+            return located.setdefault(wmask, (index[low], b0))
+
+        rows = []
+        for m in self.masks:
+            ext = m | full << w
+            shifted = [ext >> g for g in range(w)]
+            row = []
+            for gens in self.mingens:
+                acc = full
+                for g in gens:
+                    acc &= shifted[g]
+                row.append(located.get(acc) or locate(acc))
+            rows.append(row)
+        return rows
 
     @cached_property
     def canred(self) -> int:

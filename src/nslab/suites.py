@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .annihilators import SemigroupContext, stable_annihilator
-from .semigroups import enumerate_by_genus
+from .semigroups import _bit_indices, _ones, enumerate_by_genus
 from .ideals import (
     canonical_dual,
     difference,
@@ -30,7 +30,6 @@ from .ideals import (
     n_fold_sum,
     normalize,
     ring_dual,
-    sum as ideal_sum,
     trace_ideal,
     translate,
     _syzygy_raw,
@@ -182,31 +181,48 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     """G inside E - F exactly when G + F inside E, over all class triples.
 
-    Both sides are read from the colon and sum tables as masks in the
-    classes' own frame.  Every normalized G contains 0, so G sits inside
-    E - F only when that colon's least element is 0 as well.
+    Each pair (E, F) compares two bitsets over the positions of G, read
+    from the colon and sum tables.  Every normalized G contains 0, so G
+    sits inside E - F only when that colon's least element is 0 as well,
+    and then the colon side is ``sub[k]``, the classes inside the colon's
+    class k.  The sum side is the union of the preimages {G : F + G = H}
+    over the classes H of F's sum row that lie inside E.  Each mismatching
+    G is a witness, in ascending position.
     """
     classes = ctx.classes
     nc = len(classes)
-    masks = [e._mask for e in classes]
-    colons, sums = ctx.colons, ctx.sums
-    for ei in range(nc):
-        not_e = ~masks[ei]
-        for fi in range(nc):
-            ki, kmin = colons[ei][fi]
-            not_colon = ~masks[ki]
-            sums_row = sums[fi]
-            for gi, g in enumerate(masks):
-                in_colon = kmin == 0 and g & not_colon == 0
-                in_e = masks[sums_row[gi]] & not_e == 0
-                if in_colon != in_e:
-                    rec.violations.append(
-                        rec._witness(
-                            "colonAdjunction:biconditional",
-                            (classes[ei], classes[fi], classes[gi]),
-                            f"G in E-F is {in_colon} but G+F in E is {in_e}",
-                        )
+    masks = ctx.masks
+    sub = [
+        sum(1 << gi for gi, g in enumerate(masks) if g & ~m == 0) for m in masks
+    ]
+    preimages = []
+    for sums_row in ctx.sums:
+        pre: dict[int, int] = {}
+        for gi, hi in enumerate(sums_row):
+            pre[1 << hi] = pre.get(1 << hi, 0) | 1 << gi
+        preimages.append((sum(pre), pre))
+    for ei, colons_row in enumerate(ctx.colons):
+        sub_e = sub[ei]
+        for fi, (image, pre) in enumerate(preimages):
+            ki, kmin = colons_row[fi]
+            in_colon = sub[ki] if kmin == 0 else 0
+            in_e = 0
+            inside = image & sub_e
+            while inside:
+                low = inside & -inside
+                in_e |= pre[low]
+                inside ^= low
+            if in_colon == in_e:
+                continue
+            for gi in _bit_indices(in_colon ^ in_e):
+                rec.violations.append(
+                    rec._witness(
+                        "colonAdjunction:biconditional",
+                        (classes[ei], classes[fi], classes[gi]),
+                        f"G in E-F is {bool(in_colon >> gi & 1)} "
+                        f"but G+F in E is {bool(in_e >> gi & 1)}",
                     )
+                )
     rec.checks += nc * nc * nc
 
 
@@ -261,10 +277,16 @@ def suite_syzygy_exactness(ctx: SemigroupContext, rec: Recorder) -> None:
 
 def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     """Translation invariance of the trace, trace inside the ring, and
-    monotonicity under generation by translates."""
-    width = ctx.s.frobenius + 1
-    traces = ctx.traces
-    for e, tr in zip(ctx.classes, traces):
+    monotonicity under generation by translates.
+
+    The monotonicity check compares absolute trace masks on [0, 2w], w =
+    frobenius + 1.  The trace of a normalized E contains E + (S - N), the
+    conductor, so every integer from w on is in every trace and the masks
+    decide containment exactly.
+    """
+    width = ctx.width
+    classes, traces = ctx.classes, ctx.traces
+    for e, tr in zip(classes, traces):
         shifted_ok = all(
             trace_ideal(translate(e, x)) == tr for x in (-width - 1, -1, 1, width + 1)
         )
@@ -280,15 +302,20 @@ def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             ideals=(e,),
             details=lambda tr=tr: _sides(("tr", tr)),
         )
-    for e, tr_e, sums_row in zip(ctx.classes, traces, ctx.sums):
-        for h, eh in zip(ctx.classes, sums_row):
-            tr_gen = traces[eh]
-            rec.check(
-                is_subset(tr_gen, tr_e),
-                "traceFacts:generation-monotone",
-                ideals=(e, h),
-                details=lambda a=tr_gen, b=tr_e: _sides(("tr(E+H)", a), ("tr(E)", b)),
-            )
+    nbits = 2 * width + 1
+    absolute = [tr.extended_mask(nbits - tr.min) << tr.min for tr in traces]
+    for ei, sums_row in enumerate(ctx.sums):
+        outside_e = ~absolute[ei]
+        for hi, eh in enumerate(sums_row):
+            if absolute[eh] & outside_e:
+                rec.violations.append(
+                    rec._witness(
+                        "traceFacts:generation-monotone",
+                        (classes[ei], classes[hi]),
+                        _sides(("tr(E+H)", traces[eh]), ("tr(E)", traces[ei])),
+                    )
+                )
+    rec.checks += len(classes) ** 2
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +449,11 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     blowup-conductor versus trace comparison.
 
     E is I-Ulrich when I + E is a translate of E; on normalized classes
-    that is ``sums[i][e] == e``.
+    that is ``sums[i][e] == e``.  For each I the I-Ulrich classes form a
+    bitset.  The blowup characterization compares it with the classes
+    that are modules over the blowup of I, tested on masks, not read from
+    the sum table, so that it cross-checks the table.  Hom-stability
+    compares it with the classes of the colons F - E over all F.
     """
     k = ctx.k
     classes = ctx.classes
@@ -467,38 +498,58 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         )
 
     unit = ctx.unit
-    for ii, i in enumerate(classes):
-        bl = ctx.blowups[ii]
-        sums_i = sums[ii]
-        ulrich_row = []
-        for ei, e in enumerate(classes):
-            u = sums_i[ei] == ei
-            ulrich_row.append(u)
-            via_blowup = ideal_sum(bl, e) == e
-            rec.check(
-                u == via_blowup,
-                "ulrichFacts:blowup-characterization",
-                ideals=(e, i),
-                details=f"I-Ulrich {u}, module over blowup {via_blowup}"
-                if u != via_blowup
-                else "",
+    masks, full = ctx.masks, _ones(ctx.width)
+    # modules[T]: bitset of the classes E with T + E == E, tested on masks
+    # once per distinct blowup T; the sum table is not read, so this
+    # cross-checks it
+    modules = {}
+    # colon_cols[e]: bitset of the classes of F - E over all F
+    colon_cols = [0] * len(classes)
+    for row in colons:
+        for ei, (hi, _) in enumerate(row):
+            colon_cols[ei] |= 1 << hi
+    for ii, (i, bl, sums_i) in enumerate(zip(classes, ctx.blowups, sums)):
+        ulrich = sum(1 << ei for ei, hi in enumerate(sums_i) if hi == ei)
+        if bl not in modules:
+            members = tuple(_bit_indices(bl._mask))
+            over = 0
+            for ei, m in enumerate(masks):
+                grown = 0
+                for b in members:
+                    grown |= m << b
+                if bl.min == 0 and grown & full == m:
+                    over |= 1 << ei
+            modules[bl] = over
+        for ei in _bit_indices(ulrich ^ modules[bl]):
+            u = bool(ulrich >> ei & 1)
+            rec.violations.append(
+                rec._witness(
+                    "ulrichFacts:blowup-characterization",
+                    (classes[ei], i),
+                    f"I-Ulrich {u}, module over blowup {not u}",
+                )
             )
+        rec.checks += len(classes)
         if i == unit:
             continue  # every module is S-Ulrich; Hom-stability says nothing
-        for ei, (e, u) in enumerate(zip(classes, ulrich_row)):
-            if not u:
+        # F - E is I-Ulrich for every F exactly when E's colon column lies
+        # inside the I-Ulrich classes; the first F that is not is the witness
+        for ei in _bit_indices(ulrich):
+            rec.checks += 1
+            if colon_cols[ei] & ~ulrich == 0:
                 continue
-            bad = None
-            for fi, f in enumerate(classes):
-                hi, hmin = colons[fi][ei]
-                if sums_i[hi] != hi:
-                    bad = (f, translate(classes[hi], hmin))
-                    break
-            rec.check(
-                bad is None,
-                "ulrichFacts:hom-stability",
-                ideals=(e, i) if bad is None else (e, i, bad[0], bad[1]),
-                details="" if bad is None else _sides(("F", bad[0]), ("F-E", bad[1])),
+            fi, (hi, hmin) = next(
+                (fi, row[ei])
+                for fi, row in enumerate(colons)
+                if not ulrich >> row[ei][0] & 1
+            )
+            f, h = classes[fi], translate(classes[hi], hmin)
+            rec.violations.append(
+                rec._witness(
+                    "ulrichFacts:hom-stability",
+                    (classes[ei], i, f, h),
+                    _sides(("F", f), ("F-E", h)),
+                )
             )
 
     canred = ctx.canred

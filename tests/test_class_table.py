@@ -1,10 +1,14 @@
 """The per-semigroup class table in SemigroupContext.
 
-Every table entry is compared with the slow set oracles, the suites are
-shown to catch a corrupted table, and each semigroup's classes are shown
-to be enumerated once per run.
+Every table entry is compared with the slow set oracles (all of them at
+genus <= 6, a seeded sample on larger semigroups), the suites are shown to
+catch a corrupted table with the witnesses of the loop versions they
+replaced, reports are pinned byte for byte, and each semigroup's classes
+are shown to be enumerated once per run.
 """
 
+import hashlib
+import random
 import sys
 from collections import Counter
 
@@ -20,6 +24,7 @@ from nslab import (
     duality_closure_shadow,
     enumerate_ideal_classes,
     enumerate_up_to_genus,
+    is_subset,
     normalize,
     run_suite,
     semigroup_from_generators,
@@ -27,7 +32,9 @@ from nslab import (
     translate,
 )
 from nslab.cli import main as cli_main
-from nslab.suites import Recorder
+from nslab.harness import emit_report
+from nslab.ideals import sum as ideal_sum
+from nslab.suites import Recorder, _sides
 
 from oracles import (
     SlowSet,
@@ -94,6 +101,60 @@ def test_table_matches_oracles():
             assert ctx.mingens[i] == gens, (label, i)
 
 
+def _slow_maximal(s_set: SlowSet, f: int) -> SlowSet:
+    return SlowSet([z for z in s_set.upto(f + 1) if z > 0], max(f + 1, 1))
+
+
+@pytest.mark.parametrize(
+    "gens", [list(range(9, 18)), [5, 11], [7, 9]], ids=["9..17", "5,11", "7,9"]
+)
+def test_table_sample_matches_oracles_past_genus_6(gens):
+    """256, 273 and 715 classes: a seeded sample of table entries and
+    minimal generators against the slow oracles."""
+    s = semigroup_from_generators(gens)
+    ctx = SemigroupContext(s)
+    n = len(ctx.classes)
+    m_set = _slow_maximal(from_ideal(ctx.unit), s.frobenius)
+    rng = random.Random(20251018)
+    for cell in rng.sample(range(n * n), 500):
+        i, j = divmod(cell, n)
+        a, b = from_ideal(ctx.classes[i]), from_ideal(ctx.classes[j])
+        assert agrees(ctx.classes[ctx.sums[i][j]], slow_sum(a, b)), (i, j)
+        k, off = ctx.colons[i][j]
+        assert agrees(translate(ctx.classes[k], off), slow_colon(a, b)), (i, j)
+    for i in rng.sample(range(n), 50):
+        a = from_ideal(ctx.classes[i])
+        em = slow_sum(a, m_set)
+        assert ctx.mingens[i] == tuple(z for z in a.upto(em.tail) if z not in em), i
+
+
+@pytest.mark.parametrize("gens", [[3, 5, 7], [4, 7, 9, 10], [5, 11]])
+def test_colon_with_empty_window(gens):
+    """S - N is the conductor: no member in the window [0, w), so the
+    colon is the ray from w, relocated to the class of N."""
+    ctx = SemigroupContext(semigroup_from_generators(gens))
+    unit, nat = ctx.pos(ctx.unit), ctx.pos(ctx.nat)
+    k, off = ctx.colons[unit][nat]
+    assert (k, off) == (nat, ctx.s.frobenius + 1)
+    assert translate(ctx.classes[k], off) == ctx.conductor
+    assert agrees(
+        ctx.conductor, slow_colon(from_ideal(ctx.unit), from_ideal(ctx.nat))
+    )
+
+
+def test_table_of_the_naturals():
+    """S = N has an empty window (width 0) and one class."""
+    ctx = SemigroupContext(semigroup_from_generators([1]))
+    assert ctx.classes == (ctx.unit,)
+    assert ctx.mingens == [(0,)]
+    assert ctx.sums == [[0]]
+    assert ctx.colons == [[(0, 0)]]
+    a = from_ideal(ctx.unit)
+    assert agrees(ctx.classes[ctx.sums[0][0]], slow_sum(a, a))
+    k, off = ctx.colons[0][0]
+    assert agrees(translate(ctx.classes[k], off), slow_colon(a, a))
+
+
 def test_table_reads_match_public_functions():
     """theoremB, agClosure, medShadow and the `ca` certificate read the
     table where they once called category_annihilator,
@@ -114,6 +175,15 @@ def test_table_reads_match_public_functions():
         m = ctx.pos(ctx.mset)
         ann_dm = stable_annihilator(canonical_dual(normalize(ctx.mset)[0]))
         assert ctx.stable_anns[ctx.pos(ctx.can_duals[m])] == ann_dm, label
+
+
+def test_duality_closure_reads_built_canonical_duals():
+    """With ``can_duals`` built, as verify builds it, duality closure reads
+    it instead of computing canonical duals again."""
+    for s in enumerate_up_to_genus(6):
+        ctx = SemigroupContext(s)
+        ctx.can_duals
+        assert ctx.duality_closure == duality_closure_shadow(ctx.classes), str(s)
 
 
 S357 = semigroup_from_generators([3, 5, 7])
@@ -176,3 +246,138 @@ def test_pos_finds_translated_ideals():
     for i, e in enumerate(ctx.classes):
         assert ctx.pos(translate(e, 7)) == i
     assert ctx.pos(ctx.mset) == ctx.pos(normalize(ctx.mset)[0])
+
+
+# The loops the bitset suites replaced, kept as the reference for their
+# witnesses: which checks fail, in which order, with which text.
+
+
+def _reference_colon_adjunction(ctx, rec):
+    classes = ctx.classes
+    nc = len(classes)
+    masks = [e._mask for e in classes]
+    colons, sums = ctx.colons, ctx.sums
+    for ei in range(nc):
+        not_e = ~masks[ei]
+        for fi in range(nc):
+            ki, kmin = colons[ei][fi]
+            not_colon = ~masks[ki]
+            sums_row = sums[fi]
+            for gi, g in enumerate(masks):
+                in_colon = kmin == 0 and g & not_colon == 0
+                in_e = masks[sums_row[gi]] & not_e == 0
+                if in_colon != in_e:
+                    rec.violations.append(
+                        rec._witness(
+                            "colonAdjunction:biconditional",
+                            (classes[ei], classes[fi], classes[gi]),
+                            f"G in E-F is {in_colon} but G+F in E is {in_e}",
+                        )
+                    )
+    rec.checks += nc * nc * nc
+
+
+def _reference_generation_monotone(ctx, rec):
+    traces = ctx.traces
+    for e, tr_e, sums_row in zip(ctx.classes, traces, ctx.sums):
+        for h, eh in zip(ctx.classes, sums_row):
+            tr_gen = traces[eh]
+            rec.check(
+                is_subset(tr_gen, tr_e),
+                "traceFacts:generation-monotone",
+                ideals=(e, h),
+                details=lambda a=tr_gen, b=tr_e: _sides(("tr(E+H)", a), ("tr(E)", b)),
+            )
+
+
+def _reference_blowup_characterization(ctx, rec):
+    for ii, i in enumerate(ctx.classes):
+        bl = ctx.blowups[ii]
+        for ei, e in enumerate(ctx.classes):
+            u = ctx.sums[ii][ei] == ei
+            via_blowup = ideal_sum(bl, e) == e
+            rec.check(
+                u == via_blowup,
+                "ulrichFacts:blowup-characterization",
+                ideals=(e, i),
+                details=f"I-Ulrich {u}, module over blowup {via_blowup}"
+                if u != via_blowup
+                else "",
+            )
+
+
+def _reference_hom_stability(ctx, rec):
+    classes, sums, colons = ctx.classes, ctx.sums, ctx.colons
+    for ii, i in enumerate(classes):
+        if ii == 0:
+            continue
+        sums_i = sums[ii]
+        for ei, e in enumerate(classes):
+            if sums_i[ei] != ei:
+                continue
+            bad = None
+            for fi, f in enumerate(classes):
+                hi, hmin = colons[fi][ei]
+                if sums_i[hi] != hi:
+                    bad = (f, translate(classes[hi], hmin))
+                    break
+            rec.check(
+                bad is None,
+                "ulrichFacts:hom-stability",
+                ideals=(e, i) if bad is None else (e, i, bad[0], bad[1]),
+                details="" if bad is None else _sides(("F", bad[0]), ("F-E", bad[1])),
+            )
+
+
+def _of_check(witnesses, check_id):
+    return [w for w in witnesses if w.check == check_id]
+
+
+@pytest.mark.parametrize("table", ["sums", "colons"])
+def test_corrupted_table_gives_reference_witnesses(table):
+    """Two corrupted entries of <3,5,7>: each rewritten check reports
+    exactly the witnesses of the loop it replaced, order and text
+    included, and the corruption does show in those that read it."""
+    ctx = SemigroupContext(S357)
+    unit, nat = ctx.pos(ctx.unit), ctx.pos(ctx.nat)
+    if table == "sums":
+        # S + N and N + N are both N; claim they are S
+        ctx.sums[unit][nat] = unit
+        ctx.sums[nat][nat] = unit
+    else:
+        # N - N is N and S - N is the conductor; claim both are S, which
+        # breaks the biconditional both ways and gives Hom-stability two
+        # failing F for E = N, of which it must report the first
+        ctx.colons[nat][nat] = (unit, 0)
+        ctx.colons[unit][nat] = (unit, 0)
+    for suite, reference, check_id in [
+        ("colonAdjunction", _reference_colon_adjunction, "colonAdjunction:biconditional"),
+        ("traceFacts", _reference_generation_monotone, "traceFacts:generation-monotone"),
+        ("ulrichFacts", _reference_blowup_characterization, "ulrichFacts:blowup-characterization"),
+        ("ulrichFacts", _reference_hom_stability, "ulrichFacts:hom-stability"),
+    ]:
+        rec = Recorder(semigroup=str(S357))
+        reference(ctx, rec)
+        got = _of_check(_violations(ctx, suite), check_id)
+        assert got == rec.violations, (table, suite)
+    if table == "sums":
+        caught = (
+            _reference_colon_adjunction,
+            _reference_generation_monotone,
+            _reference_blowup_characterization,
+        )
+    else:
+        caught = (_reference_colon_adjunction, _reference_hom_stability)
+    for reference in caught:
+        rec = Recorder(semigroup=str(S357))
+        reference(ctx, rec)
+        assert rec.violations, (table, reference.__name__)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_genus_6_report_bytes(jobs):
+    """The `verify --suite all --max-genus 6` JSON report, pinned."""
+    blob = emit_report(run_suite("all", 6, jobs=jobs), "json")
+    assert hashlib.sha256(blob).hexdigest() == (
+        "88eb787bed14f57c47defe7febfa499c215143194bc0765db2120785204a2ccb"
+    )
