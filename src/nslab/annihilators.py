@@ -33,6 +33,7 @@ from functools import cached_property, reduce
 from .semigroups import NumericalSemigroup, _bit_indices, _ones
 from .ideals import (
     RelativeIdeal,
+    _generator_mask,
     canonical_dual,
     canonical_ideal,
     difference,
@@ -204,21 +205,12 @@ class SemigroupContext:
 
     @cached_property
     def mingens(self) -> list[tuple[int, ...]]:
-        """Minimal generators of each class, ascending: the members of E
-        outside E + M, where M = S - {0} is the union of a + S over the
-        minimal generators a of S, so E + M is the union of the E + a.  A
-        normalized class has 0 and M inside it, so every generator lies in
-        the window and reads off the masks."""
+        """Minimal generators of each class, ascending, read off the masks
+        (``ideals._generator_mask``)."""
         if self.width == 0:
             return [(0,)]
         gens = self.s.minimal_generators
-        out = []
-        for m in self.masks:
-            covered = 0
-            for a in gens:
-                covered |= m << a
-            out.append(tuple(_bit_indices(m & ~covered)))
-        return out
+        return [tuple(_bit_indices(_generator_mask(m, gens))) for m in self.masks]
 
     @cached_property
     def sums(self) -> list[list[int]]:

@@ -140,6 +140,18 @@ class RelativeIdeal:
         return difference(self, other)
 
 
+def _generator_mask(mask: int, gens) -> int:
+    """The bits of an ideal's window mask that are minimal generators: the
+    members of E outside E + M, where M = S - {0} is the union of the a + S
+    over the minimal generators ``gens`` of S, so E + M is the union of
+    the E + a.  Every member past the window is min + s with s > frobenius,
+    inside min + M, so all generators lie in the window."""
+    covered = 0
+    for a in gens:
+        covered |= mask << a
+    return mask & ~covered
+
+
 def _check_parents(e: RelativeIdeal, f: RelativeIdeal) -> None:
     if e.parent != f.parent:
         raise ParentMismatch(
@@ -279,15 +291,13 @@ def difference(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     width = e.width
     if width == 0:
         return RelativeIdeal(e.parent, lo, 0)
-    # z = lo + j needs bit (j + b) of e's extended window for every member
-    # offset b of f; f's tail imposes nothing because z + f.min + width
-    # lands in e's tail already.
-    not_e = ~e.extended_mask(2 * width)
-    fmask = f._mask
-    wmask = 0
-    for j in range(width):
-        if (fmask << j) & not_e == 0:
-            wmask |= 1 << j
+    # z = lo + j needs bit (j + b) of e's extended window for every offset
+    # b of a minimal generator of f: f is the union of the b + S, and e is
+    # closed under adding S.  Those offsets lie in f's window.
+    ext = e.extended_mask(2 * width)
+    wmask = _ones(width)
+    for b in _bit_indices(_generator_mask(f._mask, e.parent.minimal_generators)):
+        wmask &= ext >> b
     return _from_window(e.parent, lo, wmask)
 
 
@@ -361,11 +371,11 @@ def syzygy_two_generated(e: RelativeIdeal) -> RelativeIdeal:
     set {z in S : z + (b - a) in S}, shifted; only the difference b - a
     matters up to translation.
     """
-    return normalize(_syzygy_raw(e))[0]
+    return normalize(_syzygy_raw(e, minimal_generators(e)))[0]
 
 
-def _syzygy_raw(e: RelativeIdeal) -> RelativeIdeal:
-    gens = minimal_generators(e)
+def _syzygy_raw(e: RelativeIdeal, gens: tuple[int, ...]) -> RelativeIdeal:
+    """The unnormalized syzygy of e, given its minimal generators."""
     if len(gens) != 2:
         raise NotTwoGenerated(
             f"ideal has {len(gens)} minimal generators, need exactly 2"

@@ -12,6 +12,17 @@ sets S \\ {x} where x runs over the minimal generators of S larger than
 the Frobenius number.  Every semigroup of genus g appears exactly once at
 depth g and the traversal order is deterministic (children sorted by the
 removed generator, depth-first).
+
+A child's minimal generators come from its parent's, with no search over
+the members.  Every minimal generator of a semigroup is at most its
+Frobenius number plus its multiplicity m (Rosales and García-Sánchez,
+*Numerical Semigroups*, 2009), so removing x keeps the other generators
+and can add only x + m, which is tested against them (the proof is in
+``NumericalSemigroup._remove``).  The invariants are read off the window
+mask: the pseudo-Frobenius numbers are the gaps g with every g + a a
+member (one AND of the window shifted down by each generator a), and
+almost symmetry holds when every gap g with frobenius - g also a gap is
+pseudo-Frobenius (one AND with the reversed gap mask).
 """
 
 from __future__ import annotations
@@ -124,9 +135,7 @@ class NumericalSemigroup:
 
     @property
     def gap_set(self) -> frozenset[int]:
-        return frozenset(
-            z for z in range(1, self.frobenius + 1) if not self._mask >> z & 1
-        )
+        return frozenset(_bit_indices(_ones(self.frobenius + 1) & ~self._mask))
 
     @property
     def embedding_dimension(self) -> int:
@@ -155,20 +164,21 @@ class NumericalSemigroup:
         gens = self.minimal_generators
         if self.is_naturals:
             pf: tuple[int, ...] = (-1,)
+            almost = True
         else:
-            pf = tuple(
-                g
-                for g in sorted(self.gap_set)
-                if all((g + a) in self for a in gens)
-            )
-        gaps = sorted(self.gap_set)
-        pf_set = set(pf)
-        symmetric = 2 * self.genus == self.frobenius + 1
-        almost = all(
-            g in pf_set
-            for g in gaps
-            if (self.frobenius - g) in self.gap_set
-        )
+            w = self.frobenius + 1
+            gaps = _ones(w) & ~self._mask
+            # a gap g is pseudo-Frobenius when every g + a is a member;
+            # g + a <= frobenius + max(gens), so the window plus that much
+            # tail answers every test
+            ext = self._mask | (_ones(w + gens[-1]) ^ _ones(w))
+            pfm = gaps
+            for a in gens:
+                pfm &= ext >> a
+            pf = tuple(_bit_indices(pfm))
+            # bit g of the mirror is set when frobenius - g is a gap
+            mirror = int(format(gaps, f"0{w}b")[::-1], 2)
+            almost = gaps & mirror & ~pfm == 0
         return InvariantRecord(
             embedding_dimension=len(gens),
             multiplicity=self.multiplicity,
@@ -176,7 +186,7 @@ class NumericalSemigroup:
             frobenius=self.frobenius,
             pseudo_frobenius=pf,
             cm_type=len(pf),
-            symmetric=symmetric,
+            symmetric=2 * self.genus == self.frobenius + 1,
             almost_symmetric=almost,
             med=self.multiplicity == len(gens),
         )
@@ -192,21 +202,41 @@ class NumericalSemigroup:
         return out
 
     def _remove(self, x: int) -> "NumericalSemigroup":
-        # Remove a minimal generator x > frobenius; the result is again a
-        # numerical semigroup with Frobenius number x.
-        new_f = x
+        """S \\ {x} for a minimal generator x > frobenius, whose Frobenius
+        number is x; its generators come from this semigroup's.
+
+        If x is the multiplicity m, then m > frobenius and S is {0}
+        together with [m, oo); the child is {0} together with [m + 1, oo),
+        generated by m + 1, ..., 2m + 1.
+
+        Otherwise the multiplicity stays m, and removing x deletes only
+        the decompositions (sums of two nonzero members) that use x.  An
+        old generator other than x had none, so it stays a generator.  A
+        member s < x + m has no decomposition through x either, because
+        s - x < m is no nonzero member, so it is a generator of S \\ {x}
+        exactly when it was one of S.  Every minimal generator of S \\ {x}
+        is at most its Frobenius number plus its multiplicity, x + m, so
+        x + m, which lost its decomposition x + m, is the only candidate
+        for a new generator.  A decomposable member has a minimal
+        generator as one part, so x + m is a generator exactly when no
+        remaining generator g < x + m has x + m - g in S \\ {x}; g >= m
+        puts x + m - g at most x, inside the new window.
+        """
+        m = self.multiplicity
         mask = self._mask | (_ones(x) ^ _ones(self.frobenius + 1))
         # bit x stays clear; bits (frobenius, x) are members of self
-        if x == self.multiplicity:
-            nonzero = mask & ~1
-            mult = (nonzero & -nonzero).bit_length() - 1 if nonzero else new_f + 1
+        if x == m:
+            gens = tuple(range(x + 1, 2 * x + 2))
+            m = x + 1
         else:
-            mult = self.multiplicity
-        gens = _minimal_generators_of_mask(mask, new_f, mult)
+            gens = tuple(g for g in self.minimal_generators if g != x)
+            top = x + m
+            if not any(mask >> (top - g) & 1 for g in gens):
+                gens += (top,)
         return NumericalSemigroup(
             minimal_generators=gens,
-            frobenius=new_f,
-            multiplicity=mult,
+            frobenius=x,
+            multiplicity=m,
             genus=self.genus + 1,
             _mask=mask,
         )

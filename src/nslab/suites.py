@@ -259,7 +259,7 @@ def suite_syzygy_exactness(ctx: SemigroupContext, rec: Recorder) -> None:
     for i in ctx.two_generated():
         e = ctx.classes[i]
         a, b = ctx.mingens[i]
-        j = _syzygy_raw(e)
+        j = _syzygy_raw(e, ctx.mingens[i])
         bad = None
         for d in range(e.min - 1, a + b + 2 * s.frobenius + 3):
             lhs = int(s.contains(d - a)) + int(s.contains(d - b))
@@ -351,7 +351,7 @@ def suite_lemma_chain(ctx: SemigroupContext, rec: Recorder) -> None:
     anns = ctx.stable_anns
     for i in ctx.two_generated():
         e = ctx.classes[i]
-        omega_e = normalize(_syzygy_raw(e))[0]
+        omega_e = normalize(_syzygy_raw(e, ctx.mingens[i]))[0]
         w = ctx.pos(omega_e)
         left = anns[ctx.pos(ctx.can_duals[w])]
         mid = anns[i]
@@ -372,7 +372,7 @@ def suite_prop_syzygy_stability(ctx: SemigroupContext, rec: Recorder) -> None:
     anns = ctx.stable_anns
     for i in ctx.two_generated():
         e = ctx.classes[i]
-        omega_e = normalize(_syzygy_raw(e))[0]
+        omega_e = normalize(_syzygy_raw(e, ctx.mingens[i]))[0]
         w = ctx.pos(omega_e)
         if not ctx.dual_reflexive[w]:
             continue

@@ -143,3 +143,57 @@ def brute_gap_sets(genus: int) -> set[frozenset[int]]:
         if ok:
             out.add(frozenset(gaps))
     return out
+
+
+def brute_minimal_generators(members, hi: int) -> list[int]:
+    """Nonzero members up to hi that are not a sum of two nonzero members.
+    ``members`` must hold every member up to hi."""
+    nonzero = sorted(z for z in members if 0 < z <= hi)
+    return [
+        z for z in nonzero
+        if not any((z - y) in members for y in nonzero if y < z)
+    ]
+
+
+def brute_invariants(gens) -> dict:
+    """The invariant record of the semigroup generated by ``gens``, in the
+    form of ``InvariantRecord.to_json_dict``, straight from the definitions:
+
+      * pseudo-Frobenius numbers: the non-members z with z + M inside S,
+        M the nonzero members (for S = N this is -1 alone),
+      * symmetric: z in S exactly when frobenius - z is not,
+      * almost symmetric (Barucci and Froberg): K + M inside M, with the
+        canonical ideal K = {x : frobenius - x not in S}.
+
+    Schur's bound puts the Frobenius number below min(gens) * max(gens).
+    """
+    tail = min(gens) * max(gens)
+    hi = tail + min(gens)
+    members = brute_members(gens, hi)
+
+    def in_s(z: int) -> bool:
+        return z >= tail or (z >= 0 and z in members)
+
+    gaps = [z for z in range(tail) if not in_s(z)]
+    frob = max(gaps, default=-1)
+    nonzero = sorted(z for z in members if z > 0)
+    minimal = brute_minimal_generators(members, hi)
+    # z + y with y > frob - z is past the Frobenius number, so a member
+    pf = [
+        z for z in range(-1, frob + 1)
+        if not in_s(z) and all(in_s(z + y) for y in nonzero if y <= frob - z)
+    ]
+    canonical = [x for x in range(frob + 1) if not in_s(frob - x)]
+    return {
+        "embedding_dimension": len(minimal),
+        "multiplicity": nonzero[0],
+        "genus": len(gaps),
+        "frobenius": frob,
+        "pseudo_frobenius": pf,
+        "cm_type": len(pf),
+        "symmetric": all(in_s(z) != in_s(frob - z) for z in range(frob + 1)),
+        "almost_symmetric": all(
+            in_s(x + y) for x in canonical for y in nonzero if x + y <= frob
+        ),
+        "med": nonzero[0] == len(minimal),
+    }

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from nslab import (
@@ -11,7 +15,14 @@ from nslab import (
     semigroup_from_generators,
 )
 
-from oracles import brute_gap_sets, brute_members
+from nslab.cli import main as cli_main
+
+from oracles import (
+    brute_gap_sets,
+    brute_invariants,
+    brute_members,
+    brute_minimal_generators,
+)
 
 
 def test_naturals():
@@ -184,3 +195,61 @@ def test_children_sorted_by_removed_generator():
     s = semigroup_from_generators([2, 3])
     kids = s.children()
     assert [k.gap_set for k in kids] == [{1, 2}, {1, 3}]
+
+
+def test_invariants_match_definitional_oracle():
+    for s in enumerate_up_to_genus(10):
+        assert s.invariants().to_json_dict() == brute_invariants(s.minimal_generators), str(s)
+
+
+def _check_generators_by_brute_force(s):
+    # every member up to hi, read from the window, never from the generators
+    hi = 3 * (s.frobenius + s.multiplicity + 1)
+    members = {z for z in range(hi + 1) if s.contains(z)}
+    assert list(s.minimal_generators) == brute_minimal_generators(members, hi), str(s)
+    assert brute_members(s.minimal_generators, hi) == members, str(s)
+
+
+def test_tree_generators_match_brute_force():
+    # every node of genus <= 12 is the root or a child of a node of genus
+    # <= 11; each child is classified by the rule that gave its generators
+    _check_generators_by_brute_force(naturals())
+    branches = Counter()
+    for g in range(12):
+        for s in enumerate_by_genus(g):
+            m = s.multiplicity
+            for child in s.children():
+                x = child.frobenius
+                if x == m:
+                    branches["ordinary"] += 1
+                elif x + m in child.minimal_generators:
+                    branches["x+m kept"] += 1
+                else:
+                    branches["x+m rejected"] += 1
+                _check_generators_by_brute_force(child)
+    assert branches["ordinary"] == 12
+    assert branches["x+m kept"] > 0
+    assert branches["x+m rejected"] > 0
+    assert sum(branches.values()) == sum(len(enumerate_by_genus(g)) for g in range(1, 13))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_tree_order_and_bytes_pinned(capsys):
+    listing = "\n".join(str(s) for s in enumerate_by_genus(14)) + "\n"
+    assert _sha256(listing) == (
+        "9ce6df67fb23b8512d9a490a9218d9fc295d2dd06458193ba977d952b91cb51c"
+    )
+    assert cli_main(["enumerate", "--genus", "14", "--filter", "almost"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "2b24517c2d394893aef726d92dfb9dbc21989f2e593660a828176249e81f3960"
+    )
+    records = json.dumps(
+        [s.invariants().to_json_dict() for g in range(13) for s in enumerate_by_genus(g)],
+        sort_keys=True,
+    )
+    assert _sha256(records) == (
+        "39892654b0f9d77dd34feb750730df9e9343630d585e7cd18b3bd356d7a77cdf"
+    )
