@@ -18,9 +18,22 @@ exact value for the cohomology annihilator rather than an interval.
 :class:`SemigroupContext` is the class table of one semigroup: its ideal
 classes, listed once, and every per-class fact (duals, traces, stable
 annihilators, minimal generators, sum and colon tables) read by class
-position; the generators and the two n x n tables are built from the
-classes' window masks by shifts and bitwise OR and AND.  The
-certificate, ``nslab ideals`` and every verification suite read it.
+position.  All of them except the blowups come from the classes' window
+masks through the mask kernel of ``ideals`` (``_or_shifts``, the sum
+rule; ``_and_shifts``, the colon rule; ``_relocate``, the least-element
+step), with no object kernel call per class:
+  * ``mingens``: the bits of each mask outside its shifts by the
+    generators of S;
+  * ``ring_duals`` and ``can_duals``: the colon rule on the row of S or
+    of K, by each class's generators, relocated;
+  * ``traces``: the sum rule, the ring dual shifted up by each
+    generator of the class;
+  * ``stable_anns``: E - E by the colon rule on E's own row (a class),
+    then the colon rule on the trace's row by E - E's generators;
+  * ``category_shadow``: the AND of the stable annihilators' absolute
+    masks on [0, 2w);
+  * ``sums`` and ``colons``: the two rules for every pair of classes.
+The certificate, ``nslab ideals`` and every verification suite read it.
 ``category_annihilator`` and ``duality_closure_shadow`` walk the class list
 directly and are kept as the reference the table is tested against.
 """
@@ -28,12 +41,15 @@ directly and are kept as the reference the table is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .semigroups import NumericalSemigroup, _bit_indices, _ones
 from .ideals import (
     RelativeIdeal,
+    _and_shifts,
     _generator_mask,
+    _or_shifts,
+    _relocate,
     canonical_dual,
     canonical_ideal,
     difference,
@@ -45,8 +61,6 @@ from .ideals import (
     maximal_ideal,
     minimal_generators,
     normalization_ideal,
-    ring_dual,
-    sum as ideal_sum,
     trace_ideal,
     unit_ideal,
 )
@@ -76,12 +90,7 @@ def stable_annihilator(e: RelativeIdeal) -> RelativeIdeal:
     Principal E gives the whole ring: every endomorphism factors through
     the free module, so nothing is left to annihilate.
     """
-    return _stable_annihilator(e, trace_ideal(e))
-
-
-def _stable_annihilator(e: RelativeIdeal, trace: RelativeIdeal) -> RelativeIdeal:
-    """stable_annihilator(e) given the trace of e, for callers that hold it."""
-    return difference(trace, difference(e, e))
+    return difference(trace_ideal(e), difference(e, e))
 
 
 def category_annihilator(classes: tuple[RelativeIdeal, ...]) -> RelativeIdeal:
@@ -126,7 +135,9 @@ class SemigroupContext:
     ideal that is not normalized.
 
     The minimal generators and the ``sums`` and ``colons`` tables are
-    computed from the masks alone, with no ``RelativeIdeal`` per entry.
+    computed from the masks alone, with no ``RelativeIdeal`` per entry;
+    the duals, traces and stable annihilators build one ``RelativeIdeal``
+    per class, from masks, and call no object kernel.
     """
 
     def __init__(self, s: NumericalSemigroup):
@@ -141,21 +152,36 @@ class SemigroupContext:
         self.masks = [e._mask for e in self.classes]
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.width = s.frobenius + 1
+        self.full = _ones(self.width)
 
     def pos(self, e: RelativeIdeal) -> int:
         return self.index[e._mask]
 
+    def _dual(self, d: RelativeIdeal, i: int) -> RelativeIdeal:
+        """d - classes[i], for d = S or K (least element 0): the colon
+        rule on d's window extended by w tail bits, by classes[i]'s
+        generators, relocated."""
+        ext = d._mask | self.full << self.width
+        b0, mask = _relocate(_and_shifts(ext, self.mingens[i]) & self.full, self.width)
+        return RelativeIdeal(self.s, b0, mask)
+
     @cached_property
     def ring_duals(self) -> list[RelativeIdeal]:
-        return [ring_dual(e) for e in self.classes]
+        return [self._dual(self.unit, i) for i in range(len(self.classes))]
 
     @cached_property
     def can_duals(self) -> list[RelativeIdeal]:
-        return [canonical_dual(e) for e in self.classes]
+        return [self._dual(self.k, i) for i in range(len(self.classes))]
 
     @cached_property
     def traces(self) -> list[RelativeIdeal]:
-        return [ideal_sum(e, d) for e, d in zip(self.classes, self.ring_duals)]
+        """E + (S - E): the sum rule, the dual's mask shifted up by each
+        generator of E; its least element is the dual's, as 0 is E's."""
+        s, full = self.s, self.full
+        return [
+            RelativeIdeal(s, d.min, _or_shifts(d._mask, gens) & full)
+            for gens, d in zip(self.mingens, self.ring_duals)
+        ]
 
     @cached_property
     def reflexive(self) -> list[bool]:
@@ -173,14 +199,37 @@ class SemigroupContext:
 
     @cached_property
     def stable_anns(self) -> list[RelativeIdeal]:
-        return [
-            _stable_annihilator(e, tr) for e, tr in zip(self.classes, self.traces)
-        ]
+        """tr(E) - (E - E).  E - E is the colon rule on E's own row; it
+        holds 0 and nothing below, so it is a class, and its generators
+        are read from ``mingens``.  The colon rule on the trace's row by
+        those generators gives the stable annihilator relative to the
+        trace's least element."""
+        s, w, full, index, mingens = self.s, self.width, self.full, self.index, self.mingens
+        tail = full << w
+        out = []
+        for m, gens, tr in zip(self.masks, mingens, self.traces):
+            endo = _and_shifts(m | tail, gens) & full
+            acc = _and_shifts(tr._mask | tail, mingens[index[endo]]) & full
+            b0, mask = _relocate(acc, w)
+            out.append(RelativeIdeal(s, tr.min + b0, mask))
+        return out
 
     @cached_property
     def category_shadow(self) -> RelativeIdeal:
-        """``category_annihilator(classes)`` read from the table."""
-        return reduce(intersect, self.stable_anns, self.unit)
+        """``category_annihilator(classes)`` read from the table.  Every
+        stable annihilator lies in S and contains the conductor, so its
+        least element is at most w and every integer from 2w on is a
+        member: the intersection is the AND of the absolute masks on
+        [0, 2w)."""
+        w, full = self.width, self.full
+        if w == 0:
+            return RelativeIdeal(self.s, max(a.min for a in self.stable_anns), 0)
+        tail = full << w
+        acc = _ones(2 * w)
+        for a in self.stable_anns:
+            acc &= (a._mask | tail) << a.min
+        b0 = (acc & -acc).bit_length() - 1
+        return RelativeIdeal(self.s, b0, acc >> b0 & full)
 
     @cached_property
     def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
@@ -193,10 +242,9 @@ class SemigroupContext:
         for i in range(1, len(self.classes)):
             if not self.reflexive[i]:
                 continue
-            e = self.classes[i]
-            d = canonical_dual(e) if can_duals is None else can_duals[i]
+            d = self._dual(self.k, i) if can_duals is None else can_duals[i]
             if not self.reflexive[self.pos(d)]:
-                return False, e
+                return False, self.classes[i]
         return True, None
 
     @cached_property
@@ -212,27 +260,49 @@ class SemigroupContext:
         gens = self.s.minimal_generators
         return [tuple(_bit_indices(_generator_mask(m, gens))) for m in self.masks]
 
+    # The two tables shift every class at once: ``_pack`` puts class j's
+    # mask in lane j of one integer, at bit 8 * size * j.  A lane of
+    # size = ceil(2w / 8) bytes holds a window shifted up by less than w,
+    # or a window extended by w tail bits, so a shift by a generator offset
+    # moves no bit into the window of another lane.
+
+    def _pack(self, masks) -> int:
+        size = (2 * self.width + 7) // 8
+        return int.from_bytes(b"".join(m.to_bytes(size, "little") for m in masks), "little")
+
+    @cached_property
+    def _lane_windows(self) -> int:
+        return self._pack([self.full] * len(self.masks))
+
+    @cached_property
+    def _window_key(self) -> dict[bytes, int]:
+        """Each class's window bytes, as ``_windows`` reads them, mapped to
+        its position."""
+        nbytes = (self.width + 7) // 8
+        return {m.to_bytes(nbytes, "little"): i for i, m in enumerate(self.masks)}
+
+    def _windows(self, packed: int) -> list[bytes]:
+        """The window bytes of every lane of ``packed``."""
+        size, nbytes = (2 * self.width + 7) // 8, (self.width + 7) // 8
+        raw = (packed & self._lane_windows).to_bytes(size * len(self.masks), "little")
+        return [raw[k : k + nbytes] for k in range(0, len(raw), size)]
+
     @cached_property
     def sums(self) -> list[list[int]]:
         """``sums[i][j]``: position of classes[i] + classes[j], which is
         normalized again.  classes[i] is the union of g + S over its
         minimal generators g, so the sum is the union of the translates
         g + classes[j], whose window is the OR of the shifted masks; the
-        tail of each translate lies past the window."""
+        tail of each translate lies past the window.  Row i is the sum
+        rule on every lane at once."""
         if self.width == 0:
             return [[0]]
-        full = _ones(self.width)
-        index, masks = self.index, self.masks
-        rows = []
-        for gens in self.mingens:
-            row = []
-            for m in masks:
-                acc = 0
-                for g in gens:
-                    acc |= m << g
-                row.append(index[acc & full])
-            rows.append(row)
-        return rows
+        key = self._window_key
+        packed = self._pack(self.masks)
+        return [
+            [key[b] for b in self._windows(_or_shifts(packed, gens))]
+            for gens in self.mingens
+        ]
 
     @cached_property
     def colons(self) -> list[list[tuple[int, int]]]:
@@ -241,32 +311,26 @@ class SemigroupContext:
         the minimal generators g of classes[j]: the AND of the window of
         classes[i], extended by w tail bits, shifted down by each g.  It
         has no member below 0, and every z >= w is a member, so the AND cut
-        to the window is exact; it is relocated to its least element as
-        ``_from_window`` does (an empty window is the ray from w)."""
+        to the window is exact; ``_relocate`` moves it to its least element
+        (an empty window is the ray from w).  Column j is the colon rule
+        on every lane at once."""
         w = self.width
         if w == 0:
             return [[(0, 0)]]
-        full = _ones(w)
-        index = self.index
-        located: dict[int, tuple[int, int]] = {0: (index[full], w)}
+        key = self._window_key
+        located: dict[bytes, tuple[int, int]] = {}
 
-        def locate(wmask: int) -> tuple[int, int]:
-            b0 = (wmask & -wmask).bit_length() - 1
-            low = (wmask >> b0) | (full ^ _ones(w - b0))
-            return located.setdefault(wmask, (index[low], b0))
+        def locate(b: bytes) -> tuple[int, int]:
+            b0, low = _relocate(int.from_bytes(b, "little"), w)
+            return located.setdefault(b, (key[low.to_bytes(len(b), "little")], b0))
 
-        rows = []
-        for m in self.masks:
-            ext = m | full << w
-            shifted = [ext >> g for g in range(w)]
-            row = []
-            for gens in self.mingens:
-                acc = full
-                for g in gens:
-                    acc &= shifted[g]
-                row.append(located.get(acc) or locate(acc))
-            rows.append(row)
-        return rows
+        tail = self.full << w
+        packed = self._pack(m | tail for m in self.masks)
+        columns = [
+            [located.get(b) or locate(b) for b in self._windows(_and_shifts(packed, gens))]
+            for gens in self.mingens
+        ]
+        return [list(row) for row in zip(*columns)]
 
     @cached_property
     def canred(self) -> int:

@@ -98,21 +98,39 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# One row of ``_dump(rows)``: keys sorted, two-space indent.
+_IDEALS_ROW = """  {{
+    "ideal": {},
+    "minimal_generators": [
+      {}
+    ],
+    "reflexive": {},
+    "stable_annihilator": {},
+    "trace": {}
+  }}"""
+
+
 def _cmd_ideals(args) -> int:
+    """Writes the bytes ``_dump`` would give for the list of row dicts
+    (ideal, minimal_generators, reflexive, trace, stable_annihilator),
+    filling one template per row instead of running the pure-Python
+    encoder that ``indent`` selects; every class has a generator, so no
+    list is empty."""
     ctx = SemigroupContext(parse_semigroup(args.gens))
+    quote = json.encoder.encode_basestring
     rows = [
-        {
-            "ideal": format_ideal(cls),
-            "minimal_generators": list(gens),
-            "reflexive": refl,
-            "trace": format_ideal(tr),
-            "stable_annihilator": format_ideal(ann),
-        }
+        _IDEALS_ROW.format(
+            quote(format_ideal(cls)),
+            ",\n      ".join(map(str, gens)),
+            "true" if refl else "false",
+            quote(format_ideal(ann)),
+            quote(format_ideal(tr)),
+        )
         for cls, gens, refl, tr, ann in zip(
             ctx.classes, ctx.mingens, ctx.reflexive, ctx.traces, ctx.stable_anns
         )
     ]
-    print(_dump(rows))
+    print("[\n" + ",\n".join(rows) + "\n]")
     return 0
 
 

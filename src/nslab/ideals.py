@@ -14,6 +14,18 @@ Conventions:
   * ``difference(E, F)`` is the colon {z : z + F subset E},
   * isomorphism of monomial ideals is translation, so classes are stored
     normalized with least element 0.
+
+One mask kernel does the arithmetic, on window masks alone:
+  * ``_or_shifts``, the sum rule: E + F is the union of the translates
+    b + E over the members b of F, an OR of shifted masks;
+  * ``_and_shifts``, the colon rule: E - F is the intersection of the
+    E - b over the minimal generators b of F, an AND of E's window,
+    extended by w tail bits, shifted down;
+  * ``_relocate``, the least-element step that moves a window to its
+    least member.
+``sum``, ``difference`` and ``_from_window`` call it, and so do the class
+table's lists and tables in ``annihilators.SemigroupContext``, which
+never build an ideal to combine two classes.
 """
 
 from __future__ import annotations
@@ -140,16 +152,47 @@ class RelativeIdeal:
         return difference(self, other)
 
 
+def _or_shifts(mask: int, offsets) -> int:
+    """The sum rule: the OR of ``mask << b`` over the offsets, the window
+    of the union of the translates b + E.  Bits past the window are left
+    for the caller to cut."""
+    acc = 0
+    for b in offsets:
+        acc |= mask << b
+    return acc
+
+
+def _and_shifts(ext: int, offsets) -> int:
+    """The colon rule: the AND of ``ext >> b`` over the offsets.  With
+    ``ext`` the window of E extended by w tail bits and the offsets those
+    of the minimal generators of F (relative to min F), bit j of the
+    result, for j < w, says whether min E - min F + j lies in E - F: F is
+    the union of the b + S, and E is closed under adding S.  Cut to the
+    window by the caller; no offsets give all ones."""
+    acc = -1
+    for b in offsets:
+        acc &= ext >> b
+    return acc
+
+
+def _relocate(wmask: int, w: int) -> tuple[int, int]:
+    """The least-element step: a window mask on [0, w) whose integers from
+    w on are all members, moved to its least member b0.  Returns (b0, the
+    window mask at b0); the top b0 bits of the new window are tail.  An
+    empty window is the ray from w."""
+    if wmask == 0:
+        return w, (1 << w) - 1
+    b0 = (wmask & -wmask).bit_length() - 1
+    return b0, (wmask >> b0) | ((1 << w) - (1 << (w - b0)))
+
+
 def _generator_mask(mask: int, gens) -> int:
     """The bits of an ideal's window mask that are minimal generators: the
     members of E outside E + M, where M = S - {0} is the union of the a + S
     over the minimal generators ``gens`` of S, so E + M is the union of
     the E + a.  Every member past the window is min + s with s > frobenius,
     inside min + M, so all generators lie in the window."""
-    covered = 0
-    for a in gens:
-        covered |= mask << a
-    return mask & ~covered
+    return mask & ~_or_shifts(mask, gens)
 
 
 def _check_parents(e: RelativeIdeal, f: RelativeIdeal) -> None:
@@ -164,17 +207,8 @@ def _from_window(parent: NumericalSemigroup, lo: int, wmask: int) -> RelativeIde
     implied all-members tail from lo + width on; relocates to the attained
     minimum."""
     width = parent.frobenius + 1
-    if width == 0:
-        return RelativeIdeal(parent, lo, 0)
-    full = _ones(width)
-    wmask &= full
-    if wmask == 0:
-        return RelativeIdeal(parent, lo + width, full)
-    b0 = (wmask & -wmask).bit_length() - 1
-    if b0 == 0:
-        return RelativeIdeal(parent, lo, wmask)
-    mask = (wmask >> b0) | (full & ~_ones(width - b0))
-    return RelativeIdeal(parent, lo + b0, mask & full)
+    b0, mask = _relocate(wmask & _ones(width), width)
+    return RelativeIdeal(parent, lo + b0, mask)
 
 
 # -- constructors ----------------------------------------------------------
@@ -188,12 +222,7 @@ def ideal_from_generators(s: NumericalSemigroup, gens) -> RelativeIdeal:
     width = s.frobenius + 1
     if width == 0:
         return RelativeIdeal(s, lo, 0)
-    full = _ones(width)
-    wmask = 0
-    for g in gens:
-        shift = g - lo
-        if shift < width:
-            wmask |= (s._mask << shift) & full
+    wmask = _or_shifts(s._mask, [g - lo for g in gens]) & _ones(width)
     return RelativeIdeal(s, lo, wmask)
 
 
@@ -211,14 +240,7 @@ def maximal_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The set of nonzero members of S."""
     if s.is_naturals:
         return RelativeIdeal(s, 1, 0)
-    e = s.multiplicity
-    width = s.frobenius + 1
-    wmask = 0
-    for k in range(width):
-        z = e + k
-        if z > s.frobenius or s._mask >> z & 1:
-            wmask |= 1 << k
-    return RelativeIdeal(s, e, wmask)
+    return _from_window(s, 0, s._mask ^ 1)
 
 
 # -- elementary operations ---------------------------------------------------
@@ -259,13 +281,10 @@ def sum(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     width = e.width
     if width == 0:
         return RelativeIdeal(e.parent, e.min + f.min, 0)
-    full = _ones(width)
     amask, bmask = e._mask, f._mask
     if amask.bit_count() > bmask.bit_count():
         amask, bmask = bmask, amask
-    wmask = 0
-    for a in _bit_indices(amask):
-        wmask |= (bmask << a) & full
+    wmask = _or_shifts(bmask, _bit_indices(amask)) & _ones(width)
     return RelativeIdeal(e.parent, e.min + f.min, wmask)
 
 
@@ -291,14 +310,8 @@ def difference(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     width = e.width
     if width == 0:
         return RelativeIdeal(e.parent, lo, 0)
-    # z = lo + j needs bit (j + b) of e's extended window for every offset
-    # b of a minimal generator of f: f is the union of the b + S, and e is
-    # closed under adding S.  Those offsets lie in f's window.
-    ext = e.extended_mask(2 * width)
-    wmask = _ones(width)
-    for b in _bit_indices(_generator_mask(f._mask, e.parent.minimal_generators)):
-        wmask &= ext >> b
-    return _from_window(e.parent, lo, wmask)
+    gens = _bit_indices(_generator_mask(f._mask, e.parent.minimal_generators))
+    return _from_window(e.parent, lo, _and_shifts(e.extended_mask(2 * width), gens))
 
 
 def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
@@ -324,11 +337,9 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     width = s.frobenius + 1
     if width == 0:
         return unit_ideal(s)
-    wmask = 0
-    for x in range(width):
-        if not s._mask >> (s.frobenius - x) & 1:
-            wmask |= 1 << x
-    return RelativeIdeal(s, 0, wmask)
+    # bit x of the reversed gap mask is set when frobenius - x is a gap
+    gaps = _ones(width) & ~s._mask
+    return RelativeIdeal(s, 0, int(format(gaps, f"0{width}b")[::-1], 2))
 
 
 def canonical_dual(e: RelativeIdeal) -> RelativeIdeal:
@@ -355,13 +366,12 @@ def is_reflexive(e: RelativeIdeal) -> bool:
 
 def minimal_generators(e: RelativeIdeal) -> tuple[int, ...]:
     """E minus (E + M) where M is the maximal ideal set: a minimal
-    generating set for E as a module."""
-    em = sum(e, maximal_ideal(e.parent))
-    out = []
-    for z in range(e.min, em.tail_start):
-        if e.contains(z) and not em.contains(z):
-            out.append(z)
-    return tuple(out)
+    generating set for E as a module, read off the window mask by
+    ``_generator_mask``."""
+    if e.width == 0:
+        return (e.min,)
+    bits = _generator_mask(e._mask, e.parent.minimal_generators)
+    return tuple(e.min + k for k in _bit_indices(bits))
 
 
 def syzygy_two_generated(e: RelativeIdeal) -> RelativeIdeal:
@@ -423,7 +433,14 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
         stack.append((i + 1, chosen))
         if forced[i] & ~chosen == 0:
             stack.append((i + 1, chosen | 1 << gaps[i]))
-    found.sort(key=lambda m: (m.bit_count(), tuple(_bit_indices(m))))
+    # Two sets of one size: their ascending lists first differ at the
+    # lowest bit of a ^ b, and the set holding it comes first.  Reversed
+    # over [0, frobenius], that bit is the highest one where the masks
+    # differ, so the larger reversed mask comes first.
+    width = s.frobenius + 1
+    found.sort(
+        key=lambda m: (m.bit_count(), -int(format(m, f"0{width}b")[::-1], 2))
+    )
     return tuple(RelativeIdeal(s, 0, s._mask | m) for m in found)
 
 
@@ -438,9 +455,11 @@ def format_ideal(e: RelativeIdeal) -> str:
     if missing == 0:
         return f"[{e.min},∞)"
     top_gap = missing.bit_length() - 1
-    t = e.min + top_gap + 1
-    head = ",".join(str(e.min + k) for k in _bit_indices(mask) if k <= top_gap)
-    return f"{{{head}}}∪[{t},∞)"
+    lo = e.min
+    # bin(mask)[:1:-1] lists the bits from bit 0 up
+    bits = bin(mask)[:1:-1][:top_gap]
+    head = ",".join([str(lo + k) for k, c in enumerate(bits) if c == "1"])
+    return f"{{{head}}}∪[{lo + top_gap + 1},∞)"
 
 
 def parse_ideal(s: NumericalSemigroup, text: str) -> RelativeIdeal:

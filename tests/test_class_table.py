@@ -381,3 +381,32 @@ def test_genus_6_report_bytes(jobs):
     assert hashlib.sha256(blob).hexdigest() == (
         "88eb787bed14f57c47defe7febfa499c215143194bc0765db2120785204a2ccb"
     )
+
+
+@pytest.mark.parametrize(
+    "gens", [list(range(9, 18)), [5, 11], [7, 9]], ids=["9..17", "5,11", "7,9"]
+)
+def test_class_lists_sample_matches_oracles_past_genus_6(gens):
+    """The duals, traces and stable annihilators built from the class
+    masks, for a seeded sample of 50 classes, against the slow oracles;
+    the category shadow and duality closure against the public
+    functions on the whole class list."""
+    s = semigroup_from_generators(gens)
+    ctx = SemigroupContext(s)
+    f = s.frobenius
+    s_set = from_ideal(ctx.unit)
+    k_set = SlowSet([x for x in range(f + 1) if (f - x) not in s_set], f + 1)
+    rng = random.Random(20261018)
+    for i in rng.sample(range(len(ctx.classes)), 50):
+        a = from_ideal(ctx.classes[i])
+        dual = slow_colon(s_set, a)
+        assert agrees(ctx.ring_duals[i], dual), i
+        assert agrees(ctx.can_duals[i], slow_colon(k_set, a)), i
+        assert agrees(ctx.traces[i], slow_sum(a, dual)), i
+        assert agrees(ctx.stable_anns[i], slow_stable_annihilator(s_set, a)), i
+    assert ctx.category_shadow == category_annihilator(ctx.classes)
+    # without can_duals built, duality closure computes canonical duals
+    # itself and stops at the first failing class
+    fresh = SemigroupContext(s)
+    assert fresh.duality_closure == duality_closure_shadow(fresh.classes)
+    assert "can_duals" not in fresh.__dict__

@@ -1,9 +1,19 @@
+import hashlib
 import json
 
 import pytest
 
-from nslab import REGISTRY
-from nslab.cli import main
+from nslab import (
+    REGISTRY,
+    enumerate_ideal_classes,
+    enumerate_up_to_genus,
+    format_ideal,
+    is_reflexive,
+    minimal_generators,
+    stable_annihilator,
+    trace_ideal,
+)
+from nslab.cli import _dump, main
 
 
 def run_cli(capsys, *argv):
@@ -150,3 +160,45 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "info", "3,5,7")
     assert code == 3
     assert err == "internal error: almost-symmetry test and Ulrich test disagree on <3,5,7>\n"
+
+
+def test_ideals_rows_match_json_dump_through_genus_8(capsys):
+    """`nslab ideals` fills a row template instead of calling `_dump`;
+    for every semigroup of genus <= 8 its stdout equals `_dump` of the
+    row dicts, built here from the public per-ideal functions."""
+    for s in enumerate_up_to_genus(8):
+        rows = [
+            {
+                "ideal": format_ideal(e),
+                "minimal_generators": list(minimal_generators(e)),
+                "reflexive": is_reflexive(e),
+                "trace": format_ideal(trace_ideal(e)),
+                "stable_annihilator": format_ideal(stable_annihilator(e)),
+            }
+            for e in enumerate_ideal_classes(s)
+        ]
+        code, out, _ = run_cli(capsys, "ideals", str(s))
+        assert code == 0
+        assert out == _dump(rows) + "\n", str(s)
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (("ideals", "7,9"), "13ff2df8dda30fdb41411f55ba517b0fc15bd2426cc55c055983d55a192e5c10"),
+        (("ca", "7,9"), "7b2065fa7a68a755080d8622766d92a4f1a55188567173558acb2b5ac4087cd8"),
+        (
+            ("ideals", "9,10,11,12,13,14,15,16,17"),
+            "034ff30e2cc81977de89361d0c2e64449bdf2649f854b03f86d52382f577bf94",
+        ),
+        (
+            ("ca", "9,10,11,12,13,14,15,16,17"),
+            "b052f1a74eedb723ee130476983bf16c8385f8cbee5a8e8af8d11c4552019a3c",
+        ),
+    ],
+    ids=["ideals-7,9", "ca-7,9", "ideals-9..17", "ca-9..17"],
+)
+def test_query_output_bytes_pinned(capsys, argv, sha256):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nslab import (
@@ -32,6 +34,7 @@ from oracles import (
     SlowSet,
     agrees,
     brute_ideal_classes,
+    brute_members,
     from_ideal,
     slow_colon,
     slow_intersect,
@@ -305,3 +308,59 @@ def test_constructed_ideals_validate():
                 sum_ideals(e, f).validate()
                 difference(e, f).validate()
                 intersect(e, f).validate()
+
+
+def _brute_generators(e, gens):
+    """The members z of e with no nonzero member y of S and z - y in e,
+    from explicit member lists: past tail + max(gens) every z - y with
+    y = min(gens) is still in e, and y <= z - min(e) bounds the y."""
+    slow = from_ideal(e)
+    hi = slow.tail + max(gens)
+    nonzero = sorted(brute_members(gens, hi - slow.least) - {0})
+    return tuple(
+        z for z in slow.upto(hi)
+        if not any((z - y) in slow for y in nonzero if y <= z - slow.least)
+    )
+
+
+@pytest.mark.parametrize(
+    "gens", [[1], [2, 3], [3, 5, 7], [4, 7, 9, 10], [5, 11], [6, 7, 8, 9, 10, 11]]
+)
+def test_minimal_generators_of_translates_match_brute_force(gens):
+    """Minimal generators read off the mask, for every class translated
+    below 0, at 0 and above 0, and for rays and N itself."""
+    s = semigroup_from_generators(gens)
+    ideals = list(enumerate_ideal_classes(s))
+    ideals += [maximal_ideal(s), normalization_ideal(s), canonical_ideal(s)]
+    for e in ideals:
+        for x in (-7, -1, 0, 3, 11):
+            t = translate(e, x)
+            assert minimal_generators(t) == _brute_generators(t, gens), (gens, t)
+
+
+def _definitional_format(e):
+    """The least t with every integer from t on a member, found by walking
+    down from the tail, and the members below it."""
+    t = e.tail_start
+    while t > e.min and e.contains(t - 1):
+        t -= 1
+    if t == e.min:
+        return f"[{t},∞)"
+    head = ",".join(str(z) for z in e.members_below(t))
+    return f"{{{head}}}∪[{t},∞)"
+
+
+def test_format_ideal_matches_definition_on_random_ideals():
+    rng = random.Random(20261018)
+    for gens in ([1], [2, 3], [3, 5, 7], [5, 11], [7, 9], [6, 7, 8, 9, 10, 11]):
+        s = semigroup_from_generators(gens)
+        fixed = [unit_ideal(s), normalization_ideal(s), maximal_ideal(s), canonical_ideal(s)]
+        for e in fixed:
+            assert format_ideal(e) == _definitional_format(e), (gens, e.min)
+        top = s.frobenius + 3
+        for _ in range(200):
+            picked = rng.sample(range(-5, top), rng.randint(1, 4))
+            e = ideal_from_generators(s, picked)
+            assert format_ideal(e) == _definitional_format(e), (gens, picked)
+            ray = translate(normalization_ideal(s), rng.randint(-9, 9))
+            assert format_ideal(ray) == _definitional_format(ray), (gens, ray.min)
