@@ -196,7 +196,7 @@ def _generator_mask(mask: int, gens) -> int:
 
 
 def _check_parents(e: RelativeIdeal, f: RelativeIdeal) -> None:
-    if e.parent != f.parent:
+    if e.parent is not f.parent and e.parent != f.parent:
         raise ParentMismatch(
             f"ideals over <{e.parent}> and <{f.parent}> cannot be combined"
         )

@@ -11,18 +11,20 @@ Enumeration walks the standard semigroup tree: the children of S are the
 sets S \\ {x} where x runs over the minimal generators of S larger than
 the Frobenius number.  Every semigroup of genus g appears exactly once at
 depth g and the traversal order is deterministic (children sorted by the
-removed generator, depth-first).
+removed generator, depth-first).  Interior nodes stay plain (generators,
+Frobenius number, multiplicity, mask) tuples; only the nodes the walk
+returns are built as ``NumericalSemigroup`` objects.
 
 A child's minimal generators come from its parent's, with no search over
 the members.  Every minimal generator of a semigroup is at most its
 Frobenius number plus its multiplicity m (Rosales and García-Sánchez,
 *Numerical Semigroups*, 2009), so removing x keeps the other generators
 and can add only x + m, which is tested against them (the proof is in
-``NumericalSemigroup._remove``).  The invariants are read off the window
-mask: the pseudo-Frobenius numbers are the gaps g with every g + a a
-member (one AND of the window shifted down by each generator a), and
-almost symmetry holds when every gap g with frobenius - g also a gap is
-pseudo-Frobenius (one AND with the reversed gap mask).
+``_child``).  The invariants are read off the window mask: the
+pseudo-Frobenius numbers are the gaps g with every g + a a member (one
+AND of the window shifted down by each generator a), and almost symmetry
+holds when every gap g with frobenius - g also a gap is pseudo-Frobenius
+(one AND with the reversed gap mask).
 """
 
 from __future__ import annotations
@@ -195,54 +197,47 @@ class NumericalSemigroup:
 
     def children(self) -> list["NumericalSemigroup"]:
         """Children in the semigroup tree, sorted by the removed generator."""
-        out = []
-        for x in self.minimal_generators:
-            if x > self.frobenius:
-                out.append(self._remove(x))
-        return out
-
-    def _remove(self, x: int) -> "NumericalSemigroup":
-        """S \\ {x} for a minimal generator x > frobenius, whose Frobenius
-        number is x; its generators come from this semigroup's.
-
-        If x is the multiplicity m, then m > frobenius and S is {0}
-        together with [m, oo); the child is {0} together with [m + 1, oo),
-        generated by m + 1, ..., 2m + 1.
-
-        Otherwise the multiplicity stays m, and removing x deletes only
-        the decompositions (sums of two nonzero members) that use x.  An
-        old generator other than x had none, so it stays a generator.  A
-        member s < x + m has no decomposition through x either, because
-        s - x < m is no nonzero member, so it is a generator of S \\ {x}
-        exactly when it was one of S.  Every minimal generator of S \\ {x}
-        is at most its Frobenius number plus its multiplicity, x + m, so
-        x + m, which lost its decomposition x + m, is the only candidate
-        for a new generator.  A decomposable member has a minimal
-        generator as one part, so x + m is a generator exactly when no
-        remaining generator g < x + m has x + m - g in S \\ {x}; g >= m
-        puts x + m - g at most x, inside the new window.
-        """
-        m = self.multiplicity
-        mask = self._mask | (_ones(x) ^ _ones(self.frobenius + 1))
-        # bit x stays clear; bits (frobenius, x) are members of self
-        if x == m:
-            gens = tuple(range(x + 1, 2 * x + 2))
-            m = x + 1
-        else:
-            gens = tuple(g for g in self.minimal_generators if g != x)
-            top = x + m
-            if not any(mask >> (top - g) & 1 for g in gens):
-                gens += (top,)
-        return NumericalSemigroup(
-            minimal_generators=gens,
-            frobenius=x,
-            multiplicity=m,
-            genus=self.genus + 1,
-            _mask=mask,
-        )
+        return enumerate_by_genus(self.genus + 1, root=self)
 
     def __str__(self) -> str:
         return ",".join(str(g) for g in self.minimal_generators)
+
+
+def _child(gens: tuple[int, ...], frob: int, m: int, mask: int, i: int) -> tuple:
+    """S \\ {x} for x = gens[i] > frob, where S has minimal generators ``gens``,
+    Frobenius number frob, multiplicity m and window ``mask``: the child's
+    (gens, frobenius, multiplicity, mask), with Frobenius number x.
+
+    If x is the multiplicity m, then m > frobenius and S is {0}
+    together with [m, oo); the child is {0} together with [m + 1, oo),
+    generated by m + 1, ..., 2m + 1.
+
+    Otherwise the multiplicity stays m, and removing x deletes only
+    the decompositions (sums of two nonzero members) that use x.  An
+    old generator other than x had none, so it stays a generator.  A
+    member s < x + m has no decomposition through x either, because
+    s - x < m is no nonzero member, so it is a generator of S \\ {x}
+    exactly when it was one of S.  Every minimal generator of S \\ {x}
+    is at most its Frobenius number plus its multiplicity, x + m, so
+    x + m, which lost its decomposition x + m, is the only candidate
+    for a new generator.  A decomposable member has a minimal
+    generator as one part, so x + m is a generator exactly when no
+    remaining generator g < x + m has x + m - g in S \\ {x}; g >= m
+    puts x + m - g at most x, inside the new window.
+    """
+    x = gens[i]
+    # bit x stays clear; bits (frob, x) are members of S
+    mask |= _ones(x) ^ _ones(frob + 1)
+    if x == m:
+        return tuple(range(x + 1, 2 * x + 2)), x, x + 1, mask
+    rest = gens[:i] + gens[i + 1 :]
+    top = x + m
+    for g in rest:
+        if mask >> (top - g) & 1:
+            break
+    else:
+        rest += (top,)
+    return rest, x, m, mask
 
 
 def _minimal_generators_of_mask(mask: int, frobenius: int, multiplicity: int) -> tuple[int, ...]:
@@ -340,7 +335,8 @@ def enumerate_by_genus(genus: int, root: NumericalSemigroup | None = None) -> li
 
     With ``root`` given, only descendants of that subtree are listed, which
     lets callers partition the tree for parallel traversal.  Order is
-    depth-first with children sorted by removed generator.
+    depth-first with children sorted by removed generator.  Interior nodes
+    stay tuples (``_child``); only the returned nodes are built as objects.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -348,15 +344,16 @@ def enumerate_by_genus(genus: int, root: NumericalSemigroup | None = None) -> li
         root = naturals()
     out: list[NumericalSemigroup] = []
 
-    def walk(node: NumericalSemigroup) -> None:
-        if node.genus == genus:
-            out.append(node)
+    def walk(gens: tuple[int, ...], frob: int, m: int, mask: int, depth: int) -> None:
+        if depth == genus:
+            out.append(NumericalSemigroup(gens, frob, m, genus, mask))
             return
-        for child in node.children():
-            walk(child)
+        for i, x in enumerate(gens):
+            if x > frob:
+                walk(*_child(gens, frob, m, mask, i), depth + 1)
 
     if root.genus <= genus:
-        walk(root)
+        walk(root.minimal_generators, root.frobenius, root.multiplicity, root._mask, root.genus)
     return out
 
 

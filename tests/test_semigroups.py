@@ -168,6 +168,32 @@ def test_enumeration_deterministic_and_partitionable():
     assert len(merged) == len(a)
 
 
+def _fields(semigroups):
+    # == reads only the Frobenius number and the mask
+    return [
+        (s.minimal_generators, s.frobenius, s.multiplicity, s.genus, s._mask)
+        for s in semigroups
+    ]
+
+
+def test_children_concatenate_to_next_level():
+    for g in range(12):
+        kids = [c for s in enumerate_by_genus(g) for c in s.children()]
+        assert _fields(kids) == _fields(enumerate_by_genus(g + 1)), g
+
+
+def test_enumeration_root_at_or_below_genus():
+    r = semigroup_from_generators([3, 5, 7])
+    assert r.genus == 3
+    assert enumerate_by_genus(2, root=r) == []
+    assert _fields(enumerate_by_genus(3, root=r)) == _fields([r])
+
+
+def test_subtrees_of_genus_4_partition_genus_10_in_order():
+    merged = [s for r in enumerate_by_genus(4) for s in enumerate_by_genus(10, root=r)]
+    assert _fields(merged) == _fields(enumerate_by_genus(10))
+
+
 def test_invariant_record_consistency():
     # type-1 equals symmetric equals the genus formula; MED type is e - 1
     for s in enumerate_up_to_genus(6):
