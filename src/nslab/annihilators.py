@@ -33,7 +33,10 @@ step), with no object kernel call per class:
   * ``category_shadow``: the AND of the stable annihilators' absolute
     masks on [0, 2w);
   * ``sums`` and ``colons``: the two rules for every pair of classes.
-The certificate, ``nslab ideals`` and every verification suite read it.
+``syzygies`` lists, for each class with two minimal generators, its
+syzygy and that syzygy's class position, and ``canred`` is read from
+``classification``.  The certificate, ``nslab ideals`` and every
+verification suite read the table.
 ``category_annihilator`` and ``duality_closure_shadow`` walk the class list
 directly and are kept as the reference the table is tested against.
 """
@@ -50,6 +53,7 @@ from .ideals import (
     _generator_mask,
     _or_shifts,
     _relocate,
+    _syzygy_raw,
     canonical_dual,
     canonical_ideal,
     difference,
@@ -64,7 +68,7 @@ from .ideals import (
     trace_ideal,
     unit_ideal,
 )
-from .rings import blowup, canonical_reduction_number, classify, conductor_ideal
+from .rings import blowup, classify, conductor_ideal
 
 STATUS_REGULAR = "Exact-Regular"
 STATUS_GORENSTEIN = "Exact-Gorenstein"
@@ -220,16 +224,14 @@ class SemigroupContext:
         stable annihilator lies in S and contains the conductor, so its
         least element is at most w and every integer from 2w on is a
         member: the intersection is the AND of the absolute masks on
-        [0, 2w)."""
+        [0, 2w), moved to its least element and cut to the window."""
         w, full = self.width, self.full
-        if w == 0:
-            return RelativeIdeal(self.s, max(a.min for a in self.stable_anns), 0)
         tail = full << w
         acc = _ones(2 * w)
         for a in self.stable_anns:
             acc &= (a._mask | tail) << a.min
-        b0 = (acc & -acc).bit_length() - 1
-        return RelativeIdeal(self.s, b0, acc >> b0 & full)
+        b0, mask = _relocate(acc, 2 * w)
+        return RelativeIdeal(self.s, b0, mask & full)
 
     @cached_property
     def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
@@ -333,16 +335,24 @@ class SemigroupContext:
         return [list(row) for row in zip(*columns)]
 
     @cached_property
-    def canred(self) -> int:
-        return canonical_reduction_number(self.s)
-
-    @cached_property
     def classification(self):
         return classify(self.s)
 
-    def two_generated(self) -> list[int]:
-        """Positions of the classes with exactly two minimal generators."""
-        return [i for i, g in enumerate(self.mingens) if len(g) == 2]
+    @property
+    def canred(self) -> int:
+        return self.classification.canonical_reduction_number
+
+    @cached_property
+    def syzygies(self) -> list[tuple[int, RelativeIdeal, int]]:
+        """``(i, J, w)`` for each class i with exactly two minimal
+        generators, ascending: J is its syzygy, not normalized, and w the
+        class position of J."""
+        out = []
+        for i, gens in enumerate(self.mingens):
+            if len(gens) == 2:
+                j = _syzygy_raw(self.classes[i], gens)
+                out.append((i, j, self.pos(j)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -400,7 +410,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     recorded either way.
     """
     ctx = SemigroupContext(s)
-    cond = conductor_ideal(s)
+    cond = ctx.conductor
     shadow = ctx.category_shadow
     closure, witness = ctx.duality_closure
 
@@ -410,15 +420,13 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
             f"{format_ideal(cond)} vs {format_ideal(shadow)}"
         )
 
-    if not s.is_naturals:
-        normalization_ann = stable_annihilator(normalization_ideal(s))
-        if normalization_ann != cond:
-            raise InconsistentCertificate(
-                f"stable annihilator of the normalization differs from the "
-                f"conductor on <{s}>"
-            )
+    if stable_annihilator(ctx.nat) != cond:
+        raise InconsistentCertificate(
+            f"stable annihilator of the normalization differs from the "
+            f"conductor on <{s}>"
+        )
 
-    inv = s.invariants()
+    inv = ctx.inv
 
     def build(status, value=None, lower=None, upper=None, tags=()):
         return CaCertificate(
@@ -435,7 +443,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
         )
 
     if s.is_naturals:
-        return build(STATUS_REGULAR, value=unit_ideal(s), tags=(TAG_REGULAR,))
+        return build(STATUS_REGULAR, value=ctx.unit, tags=(TAG_REGULAR,))
 
     if inv.symmetric:
         if shadow != cond:
@@ -455,7 +463,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
             tags=(TAG_THEOREM_B, TAG_WANG, TAG_CONDUCTOR_STABLE_ANN),
         )
 
-    upper = maximal_ideal(s)
+    upper = ctx.mset
     if not is_subset(cond, upper):
         raise InconsistentCertificate(f"conductor not inside the maximal ideal on <{s}>")
     tags = [TAG_WANG, TAG_SINGULAR_UPPER]

@@ -1,10 +1,12 @@
 """Suite runner and report serialization.
 
-Work is partitioned by semigroup: each worker builds the per-semigroup
-context, runs the requested suites, and returns plain records.  A single
-reducer merges results in enumeration order, so report content does not
-depend on the number of jobs; the wall time is the only field outside the
-determinism contract and is excluded from the JSON form.
+Work is partitioned by semigroup: each worker receives a semigroup, builds
+its per-semigroup context, runs the requested suites, and returns plain
+records.  One loop collects them, from the process pool or, at one job,
+in process, and a single reducer merges them in enumeration order, so
+report content does not depend on the number of jobs; the wall time is
+the only field outside the determinism contract and is excluded from the
+JSON form.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
-from .semigroups import NumericalSemigroup, enumerate_up_to_genus, semigroup_from_generators, parse_semigroup
+from .semigroups import NumericalSemigroup, enumerate_up_to_genus, parse_semigroup
 from .annihilators import SemigroupContext
 from .suites import REGISTRY, Recorder, Witness
 
@@ -76,11 +80,6 @@ def run_on_semigroup(
     return tuple(rec.violations), tuple(rec.informational), rec.checks
 
 
-def _worker(args: tuple[tuple[str, ...], tuple[int, ...]]):
-    names, gens = args
-    return run_on_semigroup(names, semigroup_from_generators(gens))
-
-
 def run_suite(
     suite: str,
     genus_max: int,
@@ -94,21 +93,17 @@ def run_suite(
     start = time.monotonic()
     semigroups = list(enumerate_up_to_genus(genus_max))
 
+    run = partial(run_on_semigroup, names)
     results: list[tuple[tuple[Witness, ...], tuple[Witness, ...], int]] = []
-    if jobs <= 1:
-        for s in semigroups:
-            out = run_on_semigroup(names, s)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        if pool is None:
+            outs = map(run, semigroups)
+        else:
+            outs = pool.map(run, semigroups, chunksize=max(1, len(semigroups) // (jobs * 4)))
+        for out in outs:
             results.append(out)
             if fail_fast and out[0]:
                 break
-    else:
-        payload = [(names, s.minimal_generators) for s in semigroups]
-        chunk = max(1, len(payload) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for out in pool.map(_worker, payload, chunksize=chunk):
-                results.append(out)
-                if fail_fast and out[0]:
-                    break
 
     violations: list[Witness] = []
     informational: list[Witness] = []

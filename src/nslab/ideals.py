@@ -219,10 +219,7 @@ def ideal_from_generators(s: NumericalSemigroup, gens) -> RelativeIdeal:
     if not gens:
         raise EmptyGenerators("an ideal needs at least one generator")
     lo = gens[0]
-    width = s.frobenius + 1
-    if width == 0:
-        return RelativeIdeal(s, lo, 0)
-    wmask = _or_shifts(s._mask, [g - lo for g in gens]) & _ones(width)
+    wmask = _or_shifts(s._mask, [g - lo for g in gens]) & _ones(s.frobenius + 1)
     return RelativeIdeal(s, lo, wmask)
 
 
@@ -268,23 +265,17 @@ def is_subset(e: RelativeIdeal, f: RelativeIdeal) -> bool:
     shift = e.min - f.min
     if shift < 0:
         return False  # min(e) is attained and below f entirely
-    width = e.width
-    if width == 0:
-        return True
-    ext = f.extended_mask(shift + width)
+    ext = f.extended_mask(shift + e.width)
     return (e._mask << shift) & ~ext == 0
 
 
 def sum(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     """The sumset e + f (product of the monomial modules)."""
     _check_parents(e, f)
-    width = e.width
-    if width == 0:
-        return RelativeIdeal(e.parent, e.min + f.min, 0)
     amask, bmask = e._mask, f._mask
     if amask.bit_count() > bmask.bit_count():
         amask, bmask = bmask, amask
-    wmask = _or_shifts(bmask, _bit_indices(amask)) & _ones(width)
+    wmask = _or_shifts(bmask, _bit_indices(amask)) & _ones(e.width)
     return RelativeIdeal(e.parent, e.min + f.min, wmask)
 
 
@@ -307,11 +298,8 @@ def difference(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     """
     _check_parents(e, f)
     lo = e.min - f.min
-    width = e.width
-    if width == 0:
-        return RelativeIdeal(e.parent, lo, 0)
     gens = _bit_indices(_generator_mask(f._mask, e.parent.minimal_generators))
-    return _from_window(e.parent, lo, _and_shifts(e.extended_mask(2 * width), gens))
+    return _from_window(e.parent, lo, _and_shifts(e.extended_mask(2 * e.width), gens))
 
 
 def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
@@ -319,8 +307,6 @@ def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     _check_parents(e, f)
     lo = max(e.min, f.min)
     width = e.width
-    if width == 0:
-        return RelativeIdeal(e.parent, lo, 0)
     emask = e.extended_mask(lo - e.min + width) >> (lo - e.min)
     fmask = f.extended_mask(lo - f.min + width) >> (lo - f.min)
     return _from_window(e.parent, lo, emask & fmask)
@@ -335,8 +321,6 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     equals S exactly when S is symmetric.
     """
     width = s.frobenius + 1
-    if width == 0:
-        return unit_ideal(s)
     # bit x of the reversed gap mask is set when frobenius - x is a gap
     gaps = _ones(width) & ~s._mask
     return RelativeIdeal(s, 0, int(format(gaps, f"0{width}b")[::-1], 2))
@@ -484,10 +468,6 @@ def parse_ideal(s: NumericalSemigroup, text: str) -> RelativeIdeal:
     lo = min(head) if head else t
     lo = min(lo, t)
     width = s.frobenius + 1
-    if width == 0:
-        if any(z < lo for z in head):
-            raise ValueError("members below the least element")
-        return RelativeIdeal(s, lo, 0)
     wmask = 0
     for z in head:
         k = z - lo

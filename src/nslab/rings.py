@@ -40,9 +40,7 @@ def conductor_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The conductor {z >= frobenius + 1}: the largest common ideal of the
     ring and its normalization.  For the full semigroup it is the ring."""
     width = s.frobenius + 1
-    if width == 0:
-        return unit_ideal(s)
-    return RelativeIdeal(s, s.frobenius + 1, _ones(width))
+    return RelativeIdeal(s, width, _ones(width))
 
 
 def blowup(e: RelativeIdeal) -> RelativeIdeal:

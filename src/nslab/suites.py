@@ -28,11 +28,9 @@ from .ideals import (
     is_subset,
     is_translate,
     n_fold_sum,
-    normalize,
     ring_dual,
     trace_ideal,
     translate,
-    _syzygy_raw,
 )
 from .rings import is_ulrich
 
@@ -147,7 +145,7 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             s.gap_set in brute,
             "semigroupFacts:gapset-in-bruteforce",
-            details=f"gap set {sorted(s.gap_set)} missing from the oracle list",
+            details=lambda: f"gap set {sorted(s.gap_set)} missing from the oracle list",
         )
         rec.check(
             _tree_gap_sets(s.genus) == brute,
@@ -170,7 +168,7 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             len(ap) == n and max(ap) == s.frobenius + n,
             "semigroupFacts:apery-shape",
-            details=f"n={n} apery={sorted(ap)}",
+            details=lambda n=n, ap=ap: f"n={n} apery={sorted(ap)}",
         )
 
 
@@ -256,10 +254,9 @@ def suite_syzygy_exactness(ctx: SemigroupContext, rec: Recorder) -> None:
     """Per-degree dimension count of 0 -> J(-b) -> S(-a) + S(-b) -> E -> 0
     for every 2-generated class: the independent syzygy oracle."""
     s = ctx.s
-    for i in ctx.two_generated():
+    for i, j, _ in ctx.syzygies:
         e = ctx.classes[i]
         a, b = ctx.mingens[i]
-        j = _syzygy_raw(e, ctx.mingens[i])
         bad = None
         for d in range(e.min - 1, a + b + 2 * s.frobenius + 3):
             lhs = int(s.contains(d - a)) + int(s.contains(d - b))
@@ -329,7 +326,7 @@ def suite_conductor_stable_ann(ctx: SemigroupContext, rec: Recorder) -> None:
         got == ctx.conductor,
         "conductorStableAnn:normalization",
         ideals=(ctx.nat,),
-        details=_sides(("ann", got), ("conductor", ctx.conductor)),
+        details=lambda: _sides(("ann", got), ("conductor", ctx.conductor)),
     )
 
 
@@ -349,10 +346,8 @@ def suite_lemma_chain(ctx: SemigroupContext, rec: Recorder) -> None:
     """ann(D Omega E) inside ann(E) inside ann(Omega E) for 2-generated
     classes."""
     anns = ctx.stable_anns
-    for i in ctx.two_generated():
-        e = ctx.classes[i]
-        omega_e = normalize(_syzygy_raw(e, ctx.mingens[i]))[0]
-        w = ctx.pos(omega_e)
+    for i, _, w in ctx.syzygies:
+        e, omega_e = ctx.classes[i], ctx.classes[w]
         left = anns[ctx.pos(ctx.can_duals[w])]
         mid = anns[i]
         right = anns[w]
@@ -370,16 +365,13 @@ def suite_prop_syzygy_stability(ctx: SemigroupContext, rec: Recorder) -> None:
     """If the canonical dual of the syzygy is reflexive, the annihilators of
     E and its syzygy agree."""
     anns = ctx.stable_anns
-    for i in ctx.two_generated():
-        e = ctx.classes[i]
-        omega_e = normalize(_syzygy_raw(e, ctx.mingens[i]))[0]
-        w = ctx.pos(omega_e)
+    for i, _, w in ctx.syzygies:
         if not ctx.dual_reflexive[w]:
             continue
         rec.check(
             anns[i] == anns[w],
             "propSyzygyStability:equal-annihilators",
-            ideals=(e, omega_e),
+            ideals=(ctx.classes[i], ctx.classes[w]),
             details=lambda a=anns[i], b=anns[w]: _sides(("ann(E)", a), ("ann(W)", b)),
         )
 
@@ -415,12 +407,9 @@ def suite_trace_containment(ctx: SemigroupContext, rec: Recorder) -> None:
         )
 
 
-def suite_trace_criterion(ctx: SemigroupContext, rec: Recorder) -> None:
-    """For canonical reduction number at most 2: the canonical dual of a
-    reflexive class is reflexive exactly when its trace sits inside the
-    canonical trace.  Skips semigroups with larger reduction number."""
-    if ctx.canred > 2:
-        return
+def _trace_biconditional(ctx: SemigroupContext, rec: Recorder, check_id: str) -> None:
+    """The canonical dual of each reflexive class is reflexive exactly
+    when its trace sits inside the canonical trace."""
     tr_k = ctx.traces[ctx.pos(ctx.k)]
     for e, refl, tr, dual_refl in zip(
         ctx.classes, ctx.reflexive, ctx.traces, ctx.dual_reflexive
@@ -430,13 +419,21 @@ def suite_trace_criterion(ctx: SemigroupContext, rec: Recorder) -> None:
         tr_in = is_subset(tr, tr_k)
         rec.check(
             dual_refl == tr_in,
-            "traceCriterion:biconditional",
+            check_id,
             ideals=(e,),
             details=lambda dual_refl=dual_refl, tr_in=tr_in, a=tr, b=tr_k: (
                 f"dual reflexive {dual_refl}, trace containment {tr_in}; "
                 + _sides(("tr(E)", a), ("tr(K)", b))
             ),
         )
+
+
+def suite_trace_criterion(ctx: SemigroupContext, rec: Recorder) -> None:
+    """For canonical reduction number at most 2: the canonical dual of a
+    reflexive class is reflexive exactly when its trace sits inside the
+    canonical trace.  Skips semigroups with larger reduction number."""
+    if ctx.canred <= 2:
+        _trace_biconditional(ctx, rec, "traceCriterion:biconditional")
 
 
 # --------------------------------------------------------------------------
@@ -588,7 +585,7 @@ def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         (canred <= 2) == (is_translate(dual_k, tr_k) is not None),
         "canredFacts:le-2-iff-trace-is-dual",
         ideals=(ctx.k,),
-        details=_sides(("tr(K)", tr_k), ("K*", dual_k)) + f"; can.red {canred}",
+        details=lambda: _sides(("tr(K)", tr_k), ("K*", dual_k)) + f"; can.red {canred}",
     )
     if inv.almost_symmetric:
         rec.check(
@@ -634,7 +631,7 @@ def suite_theorem_b(ctx: SemigroupContext, rec: Recorder) -> None:
     rec.check(
         got == ctx.conductor,
         "theoremB:category-annihilator-is-conductor",
-        details=_sides(("category", got), ("conductor", ctx.conductor)),
+        details=lambda: _sides(("category", got), ("conductor", ctx.conductor)),
     )
 
 
@@ -655,7 +652,7 @@ def suite_med_shadow(ctx: SemigroupContext, rec: Recorder) -> None:
             indicator,
             "medShadow:ann-dual-maximal",
             ideals=(m_class,),
-            details=_sides(("ann(D m)", ann_dm), ("m", ctx.mset)),
+            details=lambda: _sides(("ann(D m)", ann_dm), ("m", ctx.mset)),
         )
         rec.check(closure, "medShadow:duality-closure")
     elif indicator or closure:
@@ -680,7 +677,7 @@ def suite_far_flung(ctx: SemigroupContext, rec: Recorder) -> None:
             e == ctx.nat,
             "farFlung:reflexive-pair-is-normalization",
             ideals=(e,),
-            details=_sides(("E", e), ("normalization", ctx.nat)),
+            details=lambda e=e: _sides(("E", e), ("normalization", ctx.nat)),
         )
 
 
@@ -694,18 +691,7 @@ def suite_multiplicity3(ctx: SemigroupContext, rec: Recorder) -> None:
         "multiplicity3:canred-le-2",
         details=f"can.red {ctx.canred}",
     )
-    tr_k = ctx.traces[ctx.pos(ctx.k)]
-    for e, refl, tr, dual_refl in zip(
-        ctx.classes, ctx.reflexive, ctx.traces, ctx.dual_reflexive
-    ):
-        if not refl:
-            continue
-        rec.check(
-            dual_refl == is_subset(tr, tr_k),
-            "multiplicity3:trace-biconditional",
-            ideals=(e,),
-            details=_sides(("tr(E)", tr), ("tr(K)", tr_k)),
-        )
+    _trace_biconditional(ctx, rec, "multiplicity3:trace-biconditional")
 
 
 REGISTRY: dict[str, object] = {

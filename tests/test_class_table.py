@@ -19,6 +19,7 @@ from nslab import (
     REGISTRY,
     SemigroupContext,
     canonical_dual,
+    canonical_reduction_number,
     category_annihilator,
     certify_cohomology_annihilator,
     duality_closure_shadow,
@@ -29,6 +30,7 @@ from nslab import (
     run_suite,
     semigroup_from_generators,
     stable_annihilator,
+    syzygy_two_generated,
     translate,
 )
 from nslab.cli import main as cli_main
@@ -100,6 +102,13 @@ def test_table_matches_oracles():
             gens = tuple(z for z in a.upto(em.tail) if z not in em)
             assert ctx.mingens[i] == gens, (label, i)
 
+        two = [i for i, g in enumerate(ctx.mingens) if len(g) == 2]
+        assert [i for i, _, _ in ctx.syzygies] == two, label
+        for i, j, w in ctx.syzygies:
+            omega = syzygy_two_generated(ctx.classes[i])
+            assert ctx.classes[w] == omega == normalize(j)[0], (label, i)
+        assert ctx.canred == canonical_reduction_number(s), label
+
 
 def _slow_maximal(s_set: SlowSet, f: int) -> SlowSet:
     return SlowSet([z for z in s_set.upto(f + 1) if z > 0], max(f + 1, 1))
@@ -149,6 +158,8 @@ def test_table_of_the_naturals():
     assert ctx.mingens == [(0,)]
     assert ctx.sums == [[0]]
     assert ctx.colons == [[(0, 0)]]
+    assert ctx.category_shadow == ctx.unit
+    assert ctx.syzygies == []
     a = from_ideal(ctx.unit)
     assert agrees(ctx.classes[ctx.sums[0][0]], slow_sum(a, a))
     k, off = ctx.colons[0][0]

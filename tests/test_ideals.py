@@ -7,12 +7,14 @@ from nslab import (
     ParentMismatch,
     canonical_dual,
     canonical_ideal,
+    conductor_ideal,
     difference,
     enumerate_ideal_classes,
     format_ideal,
     ideal_from_generators,
     intersect,
     is_reflexive,
+    is_subset,
     is_translate,
     maximal_ideal,
     minimal_generators,
@@ -287,6 +289,18 @@ def test_ideals_over_naturals():
     assert trace_ideal(ray) == unit_ideal(NAT)
     assert is_reflexive(ray)
     assert minimal_generators(ray) == (-2,)
+    # every function below once kept a separate branch for the empty window
+    ray3 = ideal_from_generators(NAT, {3, 7})
+    slow, slow3 = from_ideal(ray), from_ideal(ray3)
+    assert agrees(sum_ideals(ray, ray3), slow_sum(slow, slow3))
+    assert agrees(difference(ray, ray3), slow_colon(slow, slow3))
+    assert agrees(difference(ray3, ray), slow_colon(slow3, slow))
+    assert agrees(intersect(ray, ray3), slow_intersect(slow, slow3))
+    assert is_subset(ray3, ray) and not is_subset(ray, ray3)
+    assert canonical_ideal(NAT) == unit_ideal(NAT)
+    assert conductor_ideal(NAT) == unit_ideal(NAT)
+    parsed = parse_ideal(NAT, "{3,4}∪[5,∞)")
+    assert parsed == ray3 and agrees(parsed, SlowSet([], 3))
 
 
 def test_operator_sugar():
