@@ -19,7 +19,7 @@ exact value for the cohomology annihilator rather than an interval.
 classes, listed once, and every per-class fact (duals, traces, stable
 annihilators, minimal generators, sum and colon tables) read by class
 position.  All of them except the blowups come from the classes' window
-masks through the mask kernel of ``ideals`` (``_or_shifts``, the sum
+masks through the mask kernel of ``semigroups`` (``_or_shifts``, the sum
 rule; ``_and_shifts``, the colon rule; ``_relocate``, the least-element
 step), with no object kernel call per class:
   * ``mingens``: the bits of each mask outside its shifts by the
@@ -46,13 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .semigroups import NumericalSemigroup, _bit_indices, _ones
+from .semigroups import (
+    NumericalSemigroup, _bit_indices, _ones,
+    _and_shifts, _generator_mask, _or_shifts, _relocate,
+)
 from .ideals import (
     RelativeIdeal,
-    _and_shifts,
-    _generator_mask,
-    _or_shifts,
-    _relocate,
     _syzygy_raw,
     canonical_dual,
     canonical_ideal,
@@ -237,15 +236,13 @@ class SemigroupContext:
     def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
         """``duality_closure_shadow(classes)`` read from the table: whether
         every non-principal reflexive class has a reflexive canonical dual,
-        else the first class, in enumeration order, that does not.  Reads
-        ``can_duals`` when a caller has built it; otherwise stops at that
-        class, so canonical duals are computed only up to it."""
-        can_duals = self.__dict__.get("can_duals")
+        else the first class, in enumeration order, that does not.  It
+        stops at that class, so canonical duals are computed only up to
+        it."""
         for i in range(1, len(self.classes)):
             if not self.reflexive[i]:
                 continue
-            d = self._dual(self.k, i) if can_duals is None else can_duals[i]
-            if not self.reflexive[self.pos(d)]:
+            if not self.reflexive[self.pos(self._dual(self.k, i))]:
                 return False, self.classes[i]
         return True, None
 
@@ -256,7 +253,7 @@ class SemigroupContext:
     @cached_property
     def mingens(self) -> list[tuple[int, ...]]:
         """Minimal generators of each class, ascending, read off the masks
-        (``ideals._generator_mask``)."""
+        (``semigroups._generator_mask``)."""
         if self.width == 0:
             return [(0,)]
         gens = self.s.minimal_generators

@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, help="suite name or 'all'")
     p_verify.add_argument("--max-genus", type=int, default=8)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, capped at the CPU count"
+    )
     p_verify.add_argument("--fail-fast", action="store_true")
     p_verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_verify.add_argument("--out", help="write the report to this file")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -88,18 +89,21 @@ def run_suite(
 ) -> SuiteReport:
     """Execute a suite (or "all") over every semigroup of genus at most
     genus_max.  Report content is independent of ``jobs``; with fail_fast
-    the run stops after the first semigroup that produces a violation."""
+    the run stops after the first semigroup that produces a violation.
+    The pool starts min(jobs, number of semigroups, CPU count) workers,
+    and none when that is 1."""
     names = suite_names(suite)
     start = time.monotonic()
     semigroups = list(enumerate_up_to_genus(genus_max))
 
     run = partial(run_on_semigroup, names)
     results: list[tuple[tuple[Witness, ...], tuple[Witness, ...], int]] = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(semigroups), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
             outs = map(run, semigroups)
         else:
-            outs = pool.map(run, semigroups, chunksize=max(1, len(semigroups) // (jobs * 4)))
+            outs = pool.map(run, semigroups, chunksize=max(1, len(semigroups) // (workers * 4)))
         for out in outs:
             results.append(out)
             if fail_fast and out[0]:

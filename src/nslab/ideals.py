@@ -15,24 +15,17 @@ Conventions:
   * isomorphism of monomial ideals is translation, so classes are stored
     normalized with least element 0.
 
-One mask kernel does the arithmetic, on window masks alone:
-  * ``_or_shifts``, the sum rule: E + F is the union of the translates
-    b + E over the members b of F, an OR of shifted masks;
-  * ``_and_shifts``, the colon rule: E - F is the intersection of the
-    E - b over the minimal generators b of F, an AND of E's window,
-    extended by w tail bits, shifted down;
-  * ``_relocate``, the least-element step that moves a window to its
-    least member.
-``sum``, ``difference`` and ``_from_window`` call it, and so do the class
-table's lists and tables in ``annihilators.SemigroupContext``, which
-never build an ideal to combine two classes.
+The arithmetic is the mask kernel of ``semigroups``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .semigroups import NumericalSemigroup, EmptyGenerators, _ones, _bit_indices
+from .semigroups import (
+    NumericalSemigroup, EmptyGenerators, _ones, _bit_indices,
+    _and_shifts, _generator_mask, _or_shifts, _relocate, _reverse,
+)
 
 
 class ParentMismatch(ValueError):
@@ -150,49 +143,6 @@ class RelativeIdeal:
 
     def __sub__(self, other: "RelativeIdeal") -> "RelativeIdeal":
         return difference(self, other)
-
-
-def _or_shifts(mask: int, offsets) -> int:
-    """The sum rule: the OR of ``mask << b`` over the offsets, the window
-    of the union of the translates b + E.  Bits past the window are left
-    for the caller to cut."""
-    acc = 0
-    for b in offsets:
-        acc |= mask << b
-    return acc
-
-
-def _and_shifts(ext: int, offsets) -> int:
-    """The colon rule: the AND of ``ext >> b`` over the offsets.  With
-    ``ext`` the window of E extended by w tail bits and the offsets those
-    of the minimal generators of F (relative to min F), bit j of the
-    result, for j < w, says whether min E - min F + j lies in E - F: F is
-    the union of the b + S, and E is closed under adding S.  Cut to the
-    window by the caller; no offsets give all ones."""
-    acc = -1
-    for b in offsets:
-        acc &= ext >> b
-    return acc
-
-
-def _relocate(wmask: int, w: int) -> tuple[int, int]:
-    """The least-element step: a window mask on [0, w) whose integers from
-    w on are all members, moved to its least member b0.  Returns (b0, the
-    window mask at b0); the top b0 bits of the new window are tail.  An
-    empty window is the ray from w."""
-    if wmask == 0:
-        return w, (1 << w) - 1
-    b0 = (wmask & -wmask).bit_length() - 1
-    return b0, (wmask >> b0) | ((1 << w) - (1 << (w - b0)))
-
-
-def _generator_mask(mask: int, gens) -> int:
-    """The bits of an ideal's window mask that are minimal generators: the
-    members of E outside E + M, where M = S - {0} is the union of the a + S
-    over the minimal generators ``gens`` of S, so E + M is the union of
-    the E + a.  Every member past the window is min + s with s > frobenius,
-    inside min + M, so all generators lie in the window."""
-    return mask & ~_or_shifts(mask, gens)
 
 
 def _check_parents(e: RelativeIdeal, f: RelativeIdeal) -> None:
@@ -322,8 +272,7 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """
     width = s.frobenius + 1
     # bit x of the reversed gap mask is set when frobenius - x is a gap
-    gaps = _ones(width) & ~s._mask
-    return RelativeIdeal(s, 0, int(format(gaps, f"0{width}b")[::-1], 2))
+    return RelativeIdeal(s, 0, _reverse(_ones(width) & ~s._mask, width))
 
 
 def canonical_dual(e: RelativeIdeal) -> RelativeIdeal:
@@ -399,14 +348,11 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
     list of adjoined gaps, compared lexicographically.  So S itself comes
     first, and the normalization (every gap adjoined) last.
     """
-    gaps = sorted(s.gap_set, reverse=True)
-    forced = []
-    for g in gaps:
-        need = 0
-        for a in s.minimal_generators:
-            if not s.contains(g + a):
-                need |= 1 << (g + a)
-        forced.append(need)
+    width = s.frobenius + 1
+    gapmask = _ones(width) & ~s._mask
+    gaps = sorted(_bit_indices(gapmask), reverse=True)
+    # g + a is forced exactly when it is a gap
+    forced = [_or_shifts(1 << g, s.minimal_generators) & gapmask for g in gaps]
     found = []
     stack = [(0, 0)]
     while stack:
@@ -421,10 +367,7 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
     # lowest bit of a ^ b, and the set holding it comes first.  Reversed
     # over [0, frobenius], that bit is the highest one where the masks
     # differ, so the larger reversed mask comes first.
-    width = s.frobenius + 1
-    found.sort(
-        key=lambda m: (m.bit_count(), -int(format(m, f"0{width}b")[::-1], 2))
-    )
+    found.sort(key=lambda m: (m.bit_count(), -_reverse(m, width)))
     return tuple(RelativeIdeal(s, 0, s._mask | m) for m in found)
 
 

@@ -43,6 +43,25 @@ def conductor_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     return RelativeIdeal(s, width, _ones(width))
 
 
+def _stable_power(power: RelativeIdeal, e: RelativeIdeal, bound: int) -> tuple[RelativeIdeal, int]:
+    """Add ``e`` to ``power`` until the sum stops growing.  Returns the
+    stable power and the number of steps that grew it; a theorem bounds
+    that number below ``bound``, so reaching it raises
+    InternalBoundExceeded."""
+    steps = 0
+    while True:
+        nxt = ideal_sum(power, e)
+        if nxt == power:
+            return power, steps
+        power = nxt
+        steps += 1
+        if steps >= bound:
+            raise InternalBoundExceeded(
+                f"power chain of {format_ideal(e)} over <{e.parent}> did not "
+                f"stabilize within {bound} steps"
+            )
+
+
 def blowup(e: RelativeIdeal) -> RelativeIdeal:
     """The blowup: the union of the colons nE - nE over all n.
 
@@ -51,22 +70,12 @@ def blowup(e: RelativeIdeal) -> RelativeIdeal:
     stable power T is a semigroup containing S and equals T - T, which is
     the whole union.  (Stopping on consecutive equality of the colon chain
     instead would be unsound: the colons can stall below the union while
-    the powers are still growing.)
+    the powers are still growing.)  The chain grows fewer than
+    max(multiplicity, genus + 2) times.
     """
     e0 = normalize(e)[0]
-    power = e0
-    steps = 1
-    while True:
-        nxt = ideal_sum(power, e0)
-        if nxt == power:
-            return power
-        power = nxt
-        steps += 1
-        if steps > max(e.parent.multiplicity, e.parent.genus + 2):
-            raise InternalBoundExceeded(
-                f"blowup of {format_ideal(e)} over <{e.parent}> did not "
-                f"stabilize within the expected number of steps"
-            )
+    s = e.parent
+    return _stable_power(e0, e0, max(s.multiplicity, s.genus + 2))[0]
 
 
 def b_ideal(e: RelativeIdeal) -> RelativeIdeal:
@@ -86,20 +95,7 @@ def canonical_reduction_number(s: NumericalSemigroup) -> int:
     canonical ideal K.  Since K is normalized the translation is forced to
     be 0, so this is plain stabilization of the power chain.  Bounded by
     multiplicity - 1."""
-    k = canonical_ideal(s)
-    power = unit_ideal(s)  # 0-fold sum
-    n = 0
-    while True:
-        nxt = ideal_sum(power, k)
-        if nxt == power:
-            return n
-        power = nxt
-        n += 1
-        if n > s.multiplicity - 1:
-            raise InternalBoundExceeded(
-                f"canonical reduction number of <{s}> exceeded "
-                f"multiplicity - 1 = {s.multiplicity - 1}"
-            )
+    return _stable_power(unit_ideal(s), canonical_ideal(s), s.multiplicity)[1]
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,27 @@ Frobenius number plus its multiplicity m (Rosales and García-Sánchez,
 *Numerical Semigroups*, 2009), so removing x keeps the other generators
 and can add only x + m, which is tested against them (the proof is in
 ``_child``).  The invariants are read off the window mask: the
-pseudo-Frobenius numbers are the gaps g with every g + a a member (one
-AND of the window shifted down by each generator a), and almost symmetry
-holds when every gap g with frobenius - g also a gap is pseudo-Frobenius
-(one AND with the reversed gap mask).
+pseudo-Frobenius numbers are the gaps g with every g + a a member (the
+colon rule below, by the generators a), and almost symmetry holds when
+every gap g with frobenius - g also a gap is pseudo-Frobenius (one AND
+with the reversed gap mask).
+
+One mask kernel does the arithmetic of every layer, on window masks
+alone:
+  * ``_or_shifts``, the sum rule: E + F is the union of the translates
+    b + E over the members b of F, an OR of shifted masks;
+  * ``_and_shifts``, the colon rule: E - F is the intersection of the
+    E - b over the minimal generators b of F, an AND of E's window,
+    extended by w tail bits, shifted down;
+  * ``_generator_mask``, the generator rule: the members outside the
+    sum of the set with the nonzero members of S;
+  * ``_relocate``, the least-element step that moves a window to its
+    least member;
+  * ``_reverse``, the reflection k -> w - 1 - k of a window.
+``invariants`` and ``semigroup_from_generators`` call it, and so do the
+ideal operations of ``ideals`` and the class table of
+``annihilators.SemigroupContext``, which never builds an ideal to
+combine two classes.
 """
 
 from __future__ import annotations
@@ -56,6 +73,55 @@ def _bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _or_shifts(mask: int, offsets) -> int:
+    """The sum rule: the OR of ``mask << b`` over the offsets, the window
+    of the union of the translates b + E.  Bits past the window are left
+    for the caller to cut."""
+    acc = 0
+    for b in offsets:
+        acc |= mask << b
+    return acc
+
+
+def _and_shifts(ext: int, offsets) -> int:
+    """The colon rule: the AND of ``ext >> b`` over the offsets.  With
+    ``ext`` the window of E extended by w tail bits and the offsets those
+    of the minimal generators of F (relative to min F), bit j of the
+    result, for j < w, says whether min E - min F + j lies in E - F: F is
+    the union of the b + S, and E is closed under adding S.  Cut to the
+    window by the caller; no offsets give all ones."""
+    acc = -1
+    for b in offsets:
+        acc &= ext >> b
+    return acc
+
+
+def _relocate(wmask: int, w: int) -> tuple[int, int]:
+    """The least-element step: a window mask on [0, w) whose integers from
+    w on are all members, moved to its least member b0.  Returns (b0, the
+    window mask at b0); the top b0 bits of the new window are tail.  An
+    empty window is the ray from w."""
+    if wmask == 0:
+        return w, (1 << w) - 1
+    b0 = (wmask & -wmask).bit_length() - 1
+    return b0, (wmask >> b0) | ((1 << w) - (1 << (w - b0)))
+
+
+def _generator_mask(mask: int, gens) -> int:
+    """The bits of an ideal's window mask that are minimal generators: the
+    members of E outside E + M, where M = S - {0} is the union of the a + S
+    over the minimal generators ``gens`` of S, so E + M is the union of
+    the E + a.  Every member past the window is min + s with s > frobenius,
+    inside min + M, so all generators lie in the window."""
+    return mask & ~_or_shifts(mask, gens)
+
+
+def _reverse(mask: int, width: int) -> int:
+    """The reflection of a window: bit k of the result is bit
+    width - 1 - k of ``mask``."""
+    return int(format(mask, f"0{width}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -174,13 +240,10 @@ class NumericalSemigroup:
             # g + a <= frobenius + max(gens), so the window plus that much
             # tail answers every test
             ext = self._mask | (_ones(w + gens[-1]) ^ _ones(w))
-            pfm = gaps
-            for a in gens:
-                pfm &= ext >> a
+            pfm = gaps & _and_shifts(ext, gens)
             pf = tuple(_bit_indices(pfm))
             # bit g of the mirror is set when frobenius - g is a gap
-            mirror = int(format(gaps, f"0{w}b")[::-1], 2)
-            almost = gaps & mirror & ~pfm == 0
+            almost = gaps & _reverse(gaps, w) & ~pfm == 0
         return InvariantRecord(
             embedding_dimension=len(gens),
             multiplicity=self.multiplicity,
@@ -240,28 +303,6 @@ def _child(gens: tuple[int, ...], frob: int, m: int, mask: int, i: int) -> tuple
     return rest, x, m, mask
 
 
-def _minimal_generators_of_mask(mask: int, frobenius: int, multiplicity: int) -> tuple[int, ...]:
-    """Minimal generators of the semigroup with the given membership window.
-
-    A member s > frobenius + multiplicity splits as (s - e) + e with both
-    parts nonzero members, so candidates live in (0, max(F + e, e)].
-    """
-    limit = max(frobenius + multiplicity, multiplicity)
-    ext = mask | (_ones(limit + 1) & ~_ones(frobenius + 1))
-    nonzero = ext & ~1
-    sums = 0
-    rest = nonzero
-    while rest:
-        low = rest & -rest
-        a = low.bit_length() - 1
-        if a > limit:
-            break
-        sums |= nonzero << a
-        rest ^= low
-    gens = nonzero & ~sums & _ones(limit + 1)
-    return tuple(_bit_indices(gens))
-
-
 def semigroup_from_generators(gens) -> NumericalSemigroup:
     """Build the semigroup of all finite sums of ``gens`` (0 included).
 
@@ -299,9 +340,13 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
 
     window = mask & _ones(frob + 1)
     genus = (frob + 1) - window.bit_count() if frob >= 0 else 0
-    minimal = _minimal_generators_of_mask(window, frob, mult)
+    # A minimal generator is at most frob + mult, and the nonzero members
+    # M satisfy M + M = the union of g + M over the input generators g,
+    # since every member of M is some g plus a member of S.
+    limit = max(frob + mult, mult)
+    nonzero = mask & _ones(limit + 1) & ~1
     return NumericalSemigroup(
-        minimal_generators=minimal,
+        minimal_generators=tuple(_bit_indices(_generator_mask(nonzero, gens))),
         frobenius=frob,
         multiplicity=mult,
         genus=genus,

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .annihilators import SemigroupContext, stable_annihilator
-from .semigroups import _bit_indices, _ones, enumerate_by_genus
+from .semigroups import _bit_indices, _ones, _or_shifts, enumerate_by_genus
 from .ideals import (
     canonical_dual,
     difference,
@@ -511,10 +511,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             members = tuple(_bit_indices(bl._mask))
             over = 0
             for ei, m in enumerate(masks):
-                grown = 0
-                for b in members:
-                    grown |= m << b
-                if bl.min == 0 and grown & full == m:
+                if bl.min == 0 and _or_shifts(m, members) & full == m:
                     over |= 1 << ei
             modules[bl] = over
         for ei in _bit_indices(ulrich ^ modules[bl]):

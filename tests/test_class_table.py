@@ -189,8 +189,8 @@ def test_table_reads_match_public_functions():
 
 
 def test_duality_closure_reads_built_canonical_duals():
-    """With ``can_duals`` built, as verify builds it, duality closure reads
-    it instead of computing canonical duals again."""
+    """Duality closure agrees with the reference also when ``can_duals``
+    is already built, as verify builds it."""
     for s in enumerate_up_to_genus(6):
         ctx = SemigroupContext(s)
         ctx.can_duals

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nslab.harness as harness
 import nslab.suites as suites
 from nslab import (
     REGISTRY,
@@ -83,6 +84,40 @@ def test_parallel_matches_serial():
     serial = run_suite("biduality", 5, jobs=1)
     parallel = run_suite("biduality", 5, jobs=3)
     assert emit_report(serial, "json") == emit_report(parallel, "json")
+
+
+def test_jobs_capped_at_cpus_and_semigroups(monkeypatch):
+    """The pool is asked for at most min(jobs, CPU count, semigroups)
+    workers.  It is replaced by an in-process stand-in that records the
+    count, so no process is started."""
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    capped = run_suite("canredFacts", 4, jobs=10**6)
+    assert workers == [3]
+    assert emit_report(capped, "json") == emit_report(run_suite("canredFacts", 4), "json")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    run_suite("canredFacts", 2, jobs=10**6)
+    assert workers == [3, 4]  # genus <= 2 has 4 semigroups
+    # an unknown CPU count runs in process
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    run_suite("canredFacts", 2, jobs=8)
+    assert workers == [3, 4]
 
 
 def test_text_and_csv_formats():

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+import nslab.rings as rings
 from nslab import (
+    InternalBoundExceeded,
     b_ideal,
     blowup,
     canonical_ideal,
@@ -20,8 +24,10 @@ from nslab import (
     semigroup_from_generators,
     sum_ideals,
     trace_ideal,
+    translate,
     unit_ideal,
 )
+from nslab.cli import main as cli_main
 
 S357 = semigroup_from_generators([3, 5, 7])
 S23 = semigroup_from_generators([2, 3])
@@ -91,6 +97,26 @@ def test_canred_bound_over_enumeration():
     for s in enumerate_up_to_genus(6):
         n = canonical_reduction_number(s)
         assert 0 <= n <= max(s.multiplicity - 1, 0)
+
+
+def test_power_chain_bound_violation_is_internal_error(capsys, monkeypatch):
+    """A sum shifted down by one has the right mask but never repeats, so
+    both power chains run into their bounds; the CLI reports that as an
+    internal error."""
+    real_sum = rings.ideal_sum
+    monkeypatch.setattr(rings, "ideal_sum", lambda e, f: translate(real_sum(e, f), -1))
+    with pytest.raises(InternalBoundExceeded, match="within 5 steps"):
+        blowup(maximal_ideal(S357))
+    with pytest.raises(InternalBoundExceeded, match="within 3 steps"):
+        canonical_reduction_number(S357)
+    code = cli_main(["info", "3,5,7"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err == (
+        "internal error: power chain of {0,2,3}∪[5,∞) over <3,5,7> did not "
+        "stabilize within 3 steps\n"
+    )
 
 
 def test_classify_357():

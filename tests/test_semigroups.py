@@ -1,8 +1,11 @@
 import hashlib
 import json
+import math
 from collections import Counter
+from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nslab import (
     EmptyGenerators,
@@ -54,6 +57,35 @@ def test_23_construction():
 def test_non_minimal_generators_recomputed():
     s = semigroup_from_generators([3, 5, 7, 8, 10])
     assert s.minimal_generators == (3, 5, 7)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    m=st.integers(2, 12),
+    steps=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
+    large=st.lists(st.integers(1, 40), max_size=2),
+)
+def test_redundant_generating_sets_match_oracles(m, steps, pairs, large):
+    """Generating sets with repeated generators, sums of two generators
+    and generators past frobenius + multiplicity give the semigroup of
+    the brute-force oracles."""
+    base = [m] + [m + d for d in steps]
+    assume(reduce(math.gcd, base) == 1)
+    core = semigroup_from_generators(base)
+    assume(core.genus <= 40)
+    gens = (
+        base
+        + [base[i % len(base)] + base[j % len(base)] for i, j in pairs]
+        + [core.frobenius + m + k for k in large]
+        + base[-1:]
+    )
+    s = semigroup_from_generators(gens)
+    hi = s.frobenius + 2 * s.multiplicity
+    members = brute_members(gens, hi)
+    assert list(s.minimal_generators) == brute_minimal_generators(members, hi)
+    assert {z for z in range(hi + 1) if z in s} == members
+    assert s.invariants().to_json_dict() == brute_invariants(gens)
 
 
 def test_membership_matches_brute_force():
