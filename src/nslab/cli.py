@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .semigroups import parse_semigroup, enumerate_by_genus
+from .semigroups import NumericalSemigroup, enumerate_by_genus, parse_semigroup
 from .ideals import format_ideal
 from .rings import InternalBoundExceeded, classify
 from .annihilators import (
@@ -82,20 +82,23 @@ def _cmd_info(args) -> int:
     return 0
 
 
+# The flags ``invariants()`` reports, read off each listed semigroup
+# without building its record.
+_FILTERS = {
+    "gorenstein": lambda s: 2 * s.genus == s.frobenius + 1,
+    "almost": NumericalSemigroup.is_almost_symmetric,
+    "med": lambda s: s.multiplicity == len(s.minimal_generators),
+}
+
+
 def _cmd_enumerate(args) -> int:
     if args.genus < 0:
         print("genus must be nonnegative", file=sys.stderr)
         return 2
-    for s in enumerate_by_genus(args.genus):
-        if args.filter != "none":
-            inv = s.invariants()
-            keep = {
-                "gorenstein": inv.symmetric,
-                "almost": inv.almost_symmetric,
-                "med": inv.med,
-            }[args.filter]
-            if not keep:
-                continue
+    listed = enumerate_by_genus(args.genus)
+    if args.filter != "none":
+        listed = filter(_FILTERS[args.filter], listed)
+    for s in listed:
         print(str(s))
     return 0
 

@@ -107,6 +107,10 @@ def run_suite(
         for out in outs:
             results.append(out)
             if fail_fast and out[0]:
+                if pool is not None:
+                    # map submitted every chunk, and leaving the block
+                    # would wait for them all
+                    pool.shutdown(cancel_futures=True)
                 break
 
     violations: list[Witness] = []

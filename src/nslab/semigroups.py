@@ -21,10 +21,11 @@ Frobenius number plus its multiplicity m (Rosales and García-Sánchez,
 *Numerical Semigroups*, 2009), so removing x keeps the other generators
 and can add only x + m, which is tested against them (the proof is in
 ``_child``).  The invariants are read off the window mask: the
-pseudo-Frobenius numbers are the gaps g with every g + a a member (the
-colon rule below, by the generators a), and almost symmetry holds when
-every gap g with frobenius - g also a gap is pseudo-Frobenius (one AND
-with the reversed gap mask).
+pseudo-Frobenius numbers are the gaps g with every g + a a member
+(``_pseudo_frobenius``, the colon rule below by the generators a), and
+almost symmetry is Nari's rule 2 * genus = frobenius + type (H. Nari,
+*Symmetries on almost symmetric numerical semigroups*, Semigroup Forum,
+2013), the type being the number of pseudo-Frobenius numbers.
 
 One mask kernel does the arithmetic of every layer, on window masks
 alone:
@@ -37,7 +38,8 @@ alone:
     sum of the set with the nonzero members of S;
   * ``_relocate``, the least-element step that moves a window to its
     least member;
-  * ``_reverse``, the reflection k -> w - 1 - k of a window.
+  * ``_reverse``, the reflection k -> w - 1 - k of a window;
+  * ``_pseudo_frobenius``, the colon rule S - M read on the gaps.
 ``invariants`` and ``semigroup_from_generators`` call it, and so do the
 ideal operations of ``ideals`` and the class table of
 ``annihilators.SemigroupContext``, which never builds an ideal to
@@ -122,6 +124,17 @@ def _reverse(mask: int, width: int) -> int:
     """The reflection of a window: bit k of the result is bit
     width - 1 - k of ``mask``."""
     return int(format(mask, f"0{width}b")[::-1], 2)
+
+
+def _pseudo_frobenius(gens, mask: int, w: int) -> int:
+    """The pseudo-Frobenius kernel: the bits of the gaps g in the window
+    [0, w) of a semigroup with every g + a a member, over its minimal
+    generators ``gens`` (the colon rule, S - M on the gaps).  g + a is at
+    most w - 1 + max(gens), so the window plus that much tail answers
+    every test.  An empty window (the naturals) gives no bits: their one
+    pseudo-Frobenius number, -1, lies below it."""
+    ext = mask | (_ones(w + gens[-1]) ^ _ones(w))
+    return _ones(w) & ~mask & _and_shifts(ext, gens)
 
 
 @dataclass(frozen=True)
@@ -228,22 +241,21 @@ class NumericalSemigroup:
             out.append(z)
         return frozenset(out)
 
+    def is_almost_symmetric(self) -> bool:
+        """Nari's rule: S is almost symmetric exactly when 2 * genus =
+        frobenius + type, with the type counted by ``_pseudo_frobenius``.
+        The naturals, whose window is empty, are symmetric."""
+        if self.is_naturals:
+            return True
+        pfm = _pseudo_frobenius(self.minimal_generators, self._mask, self.frobenius + 1)
+        return 2 * self.genus == self.frobenius + pfm.bit_count()
+
     def invariants(self) -> InvariantRecord:
         gens = self.minimal_generators
         if self.is_naturals:
             pf: tuple[int, ...] = (-1,)
-            almost = True
         else:
-            w = self.frobenius + 1
-            gaps = _ones(w) & ~self._mask
-            # a gap g is pseudo-Frobenius when every g + a is a member;
-            # g + a <= frobenius + max(gens), so the window plus that much
-            # tail answers every test
-            ext = self._mask | (_ones(w + gens[-1]) ^ _ones(w))
-            pfm = gaps & _and_shifts(ext, gens)
-            pf = tuple(_bit_indices(pfm))
-            # bit g of the mirror is set when frobenius - g is a gap
-            almost = gaps & _reverse(gaps, w) & ~pfm == 0
+            pf = tuple(_bit_indices(_pseudo_frobenius(gens, self._mask, self.frobenius + 1)))
         return InvariantRecord(
             embedding_dimension=len(gens),
             multiplicity=self.multiplicity,
@@ -252,7 +264,7 @@ class NumericalSemigroup:
             pseudo_frobenius=pf,
             cm_type=len(pf),
             symmetric=2 * self.genus == self.frobenius + 1,
-            almost_symmetric=almost,
+            almost_symmetric=self.is_almost_symmetric(),
             med=self.multiplicity == len(gens),
         )
 
@@ -324,10 +336,12 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
         full = _ones(bound + 1)
         mask = 1
         for g in gens:
-            prev = -1
-            while prev != mask:
-                prev = mask
-                mask |= (mask << g) & full
+            # after the shifts by g, 2g, ..., 2^(k-1) g the mask holds
+            # every x + j g with x in the old mask and 0 <= j < 2^k
+            shift = g
+            while shift <= bound:
+                mask |= (mask << shift) & full
+                shift <<= 1
         complement = full & ~mask
         if not complement:
             frob = -1

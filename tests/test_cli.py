@@ -5,6 +5,7 @@ import pytest
 
 from nslab import (
     REGISTRY,
+    enumerate_by_genus,
     enumerate_ideal_classes,
     enumerate_up_to_genus,
     format_ideal,
@@ -14,6 +15,8 @@ from nslab import (
     trace_ideal,
 )
 from nslab.cli import _dump, main
+
+from oracles import brute_invariants
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +60,22 @@ def test_enumerate_filters(capsys):
     assert set(gor.splitlines()) <= set(almost.splitlines())
     assert set(gor.splitlines()) == {"3,5", "2,9", "4,5,6"}
     assert "5,6,7,8,9" in med
+
+
+def test_enumerate_filters_match_definitional_oracle(capsys):
+    """Every filter at every genus <= 12 lists, in tree order, the
+    semigroups whose flag the definitional oracle sets; its almost
+    symmetry is Barucci and Froberg's K + M inside M, independent of the
+    pseudo-Frobenius count that the filter reads."""
+    flags = {"gorenstein": "symmetric", "almost": "almost_symmetric", "med": "med"}
+    for g in range(13):
+        listed = enumerate_by_genus(g)
+        records = [brute_invariants(s.minimal_generators) for s in listed]
+        for name, flag in flags.items():
+            code, out, _ = run_cli(capsys, "enumerate", "--genus", str(g), "--filter", name)
+            assert code == 0
+            want = [str(s) for s, rec in zip(listed, records) if rec[flag]]
+            assert out.splitlines() == want, (g, name)
 
 
 def test_ideals(capsys):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,28 @@ def test_fail_fast_and_witnesses(monkeypatch):
     assert text.rstrip().endswith("FAIL")
     csv_out = emit_report(fast, "csv").decode()
     assert "alwaysFails:genus-two,violation" in csv_out
+
+
+def test_fail_fast_cancels_pending_chunks(monkeypatch, tmp_path):
+    """At two jobs a failing first semigroup stops the run: the chunks
+    not yet started are cancelled, so the suite runs on fewer than the
+    50 semigroups of genus <= 6 (each call appends a line to a file the
+    forked workers share), and the report is the one-job report."""
+    calls = tmp_path / "calls"
+
+    def slow_failing_suite(ctx, rec):
+        with open(calls, "a") as fh:
+            fh.write(str(ctx.s) + "\n")
+        time.sleep(0.05)
+        rec.check(False, "slowFails:always", details="synthetic failure")
+
+    monkeypatch.setitem(REGISTRY, "slowFails", slow_failing_suite)
+    serial = run_suite("slowFails", 6, fail_fast=True)
+    assert serial.semigroups_checked == 1
+    calls.unlink()
+    parallel = run_suite("slowFails", 6, jobs=2, fail_fast=True)
+    assert emit_report(parallel, "json") == emit_report(serial, "json")
+    assert len(calls.read_text().splitlines()) < 50
 
 
 def test_replay_witness(monkeypatch):

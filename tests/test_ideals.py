@@ -1,6 +1,9 @@
+import math
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nslab import (
     NotTwoGenerated,
@@ -278,6 +281,25 @@ def test_textual_parse_roundtrip():
         parse_ideal(S357, "{0,1}∪[5,∞)")  # not closed under the action
     with pytest.raises(ValueError):
         parse_ideal(S357, "0,1,2")
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    m=st.integers(6, 12),
+    data=st.data(),
+)
+def test_textual_roundtrip_past_enumeration(m, data):
+    """parse_ideal inverts format_ideal on semigroups of genus 20-40, for
+    S with a random up-closed set of gaps adjoined (the ideal generated
+    by 0 and the drawn gaps), translated anywhere."""
+    others = data.draw(st.lists(st.integers(m + 1, 3 * m - 1), min_size=2, max_size=4, unique=True))
+    gens = [m] + others
+    assume(reduce(math.gcd, gens) == 1)
+    s = semigroup_from_generators(gens)
+    assume(20 <= s.genus <= 40)
+    adjoined = data.draw(st.sets(st.sampled_from(sorted(s.gap_set))))
+    e = translate(ideal_from_generators(s, {0} | adjoined), data.draw(st.integers(-60, 60)))
+    assert parse_ideal(s, format_ideal(e)) == e
 
 
 def test_ideals_over_naturals():
