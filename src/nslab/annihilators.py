@@ -442,9 +442,10 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     if s.is_naturals:
         return build(STATUS_REGULAR, value=ctx.unit, tags=(TAG_REGULAR,))
 
+    if inv.almost_symmetric and shadow != cond:
+        raise InconsistentCertificate(f"category shadow differs from conductor on <{s}>")
+
     if inv.symmetric:
-        if shadow != cond:
-            raise InconsistentCertificate(f"category shadow differs from conductor on <{s}>")
         return build(
             STATUS_GORENSTEIN,
             value=cond,
@@ -452,8 +453,6 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
         )
 
     if inv.almost_symmetric:
-        if shadow != cond:
-            raise InconsistentCertificate(f"category shadow differs from conductor on <{s}>")
         return build(
             STATUS_ALMOST_GORENSTEIN,
             value=cond,

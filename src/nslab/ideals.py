@@ -76,23 +76,6 @@ class RelativeIdeal:
                     )
         return self
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RelativeIdeal):
-            return NotImplemented
-        return (
-            self._mask == other._mask
-            and self.min == other.min
-            and (self.parent is other.parent or self.parent == other.parent)
-        )
-
-    def __hash__(self) -> int:
-        try:
-            return self._hashcache
-        except AttributeError:
-            h = hash((hash(self.parent), self.min, self._mask))
-            object.__setattr__(self, "_hashcache", h)
-            return h
-
     # -- geometry ----------------------------------------------------------
 
     @property
@@ -220,12 +203,13 @@ def is_subset(e: RelativeIdeal, f: RelativeIdeal) -> bool:
 
 
 def sum(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
-    """The sumset e + f (product of the monomial modules)."""
+    """The sumset e + f (product of the monomial modules): e is the union
+    of the g + S over its minimal generators g, so e + f is the union of
+    the translates g + f, the OR of f's mask shifted by each generator
+    offset; the tail of each translate lies past the window."""
     _check_parents(e, f)
-    amask, bmask = e._mask, f._mask
-    if amask.bit_count() > bmask.bit_count():
-        amask, bmask = bmask, amask
-    wmask = _or_shifts(bmask, _bit_indices(amask)) & _ones(e.width)
+    gens = _bit_indices(_generator_mask(e._mask, e.parent.minimal_generators))
+    wmask = _or_shifts(f._mask, gens) & _ones(e.width)
     return RelativeIdeal(e.parent, e.min + f.min, wmask)
 
 

@@ -30,7 +30,7 @@ almost symmetry is Nari's rule 2 * genus = frobenius + type (H. Nari,
 One mask kernel does the arithmetic of every layer, on window masks
 alone:
   * ``_or_shifts``, the sum rule: E + F is the union of the translates
-    b + E over the members b of F, an OR of shifted masks;
+    b + E over the minimal generators b of F, an OR of shifted masks;
   * ``_and_shifts``, the colon rule: E - F is the intersection of the
     E - b over the minimal generators b of F, an AND of E's window,
     extended by w tail bits, shifted down;
@@ -179,20 +179,6 @@ class NumericalSemigroup:
     multiplicity: int
     genus: int
     _mask: int = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        # the window determines everything else
-        return self.frobenius == other.frobenius and self._mask == other._mask
-
-    def __hash__(self) -> int:
-        try:
-            return self._hashcache
-        except AttributeError:
-            h = hash((self.frobenius, self._mask))
-            object.__setattr__(self, "_hashcache", h)
-            return h
 
     # -- membership ------------------------------------------------------
 

@@ -20,19 +20,17 @@ from functools import lru_cache
 from itertools import combinations
 
 from .annihilators import SemigroupContext, stable_annihilator
-from .semigroups import _bit_indices, _ones, _or_shifts, enumerate_by_genus
+from .semigroups import _bit_indices, _or_shifts, enumerate_by_genus
 from .ideals import (
     canonical_dual,
     difference,
     format_ideal,
     is_subset,
     is_translate,
-    n_fold_sum,
     ring_dual,
     trace_ideal,
     translate,
 )
-from .rings import is_ulrich
 
 
 @dataclass(frozen=True)
@@ -450,12 +448,12 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     bitset.  The blowup characterization compares it with the classes
     that are modules over the blowup of I, tested on masks, not read from
     the sum table, so that it cross-checks the table.  Hom-stability
-    compares it with the classes of the colons F - E over all F.
+    compares it with the classes of the colons F - E over all F.  The
+    canonical powers nK are walked along the row of K from S = 0K.
     """
-    k = ctx.k
     classes = ctx.classes
     sums, colons = ctx.sums, ctx.colons
-    sums_k = sums[ctx.pos(k)]
+    sums_k = sums[ctx.pos(ctx.k)]
     for i, e in enumerate(classes):
         ulrich_k = sums_k[i] == i
         duals_match = is_translate(ctx.can_duals[i], ctx.ring_duals[i]) is not None
@@ -495,10 +493,10 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         )
 
     unit = ctx.unit
-    masks, full = ctx.masks, _ones(ctx.width)
-    # modules[T]: bitset of the classes E with T + E == E, tested on masks
-    # once per distinct blowup T; the sum table is not read, so this
-    # cross-checks it
+    masks, full = ctx.masks, ctx.full
+    # modules[T]: bitset of the classes E with T + E == E, the OR of E's
+    # mask shifted by T's generators, once per distinct blowup T (a
+    # normalized class); the sum table is not read, so this cross-checks it
     modules = {}
     # colon_cols[e]: bitset of the classes of F - E over all F
     colon_cols = [0] * len(classes)
@@ -508,12 +506,10 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     for ii, (i, bl, sums_i) in enumerate(zip(classes, ctx.blowups, sums)):
         ulrich = sum(1 << ei for ei, hi in enumerate(sums_i) if hi == ei)
         if bl not in modules:
-            members = tuple(_bit_indices(bl._mask))
-            over = 0
-            for ei, m in enumerate(masks):
-                if bl.min == 0 and _or_shifts(m, members) & full == m:
-                    over |= 1 << ei
-            modules[bl] = over
+            gens = ctx.mingens[ctx.pos(bl)]
+            modules[bl] = sum(
+                1 << ei for ei, m in enumerate(masks) if _or_shifts(m, gens) & full == m
+            )
         for ei in _bit_indices(ulrich ^ modules[bl]):
             u = bool(ulrich >> ei & 1)
             rec.violations.append(
@@ -548,17 +544,20 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 
     canred = ctx.canred
     top = max(ctx.s.multiplicity - 1, canred)
-    for n in range(canred, top + 2):
-        power = n_fold_sum(k, n)
-        rec.check(
-            is_ulrich(power, k),
-            "ulrichFacts:canonical-powers",
-            ideals=(power,),
-            details=f"n={n}",
-        )
+    p = 0
+    for n in range(top + 2):
+        if n >= canred:
+            rec.check(
+                sums_k[p] == p,
+                "ulrichFacts:canonical-powers",
+                ideals=(classes[p],),
+                details=f"n={n}",
+            )
+        p = sums_k[p]
 
+    nat = ctx.pos(ctx.nat)
     rec.check(
-        is_ulrich(ctx.nat, k),
+        sums_k[nat] == nat,
         "ulrichFacts:normalization-is-ulrich",
         ideals=(ctx.nat,),
     )
@@ -602,11 +601,12 @@ def suite_ag_closure(ctx: SemigroupContext, rec: Recorder) -> None:
     Ulrich for the canonical ideal and the duality-closure shadow holds."""
     if not ctx.inv.almost_symmetric:
         return
-    for e, refl in zip(ctx.classes, ctx.reflexive):
+    sums_k = ctx.sums[ctx.pos(ctx.k)]
+    for i, (e, refl) in enumerate(zip(ctx.classes, ctx.reflexive)):
         if e == ctx.unit or not refl:
             continue
         rec.check(
-            is_ulrich(e, ctx.k),
+            sums_k[i] == i,
             "agClosure:reflexive-is-omega-ulrich",
             ideals=(e,),
         )

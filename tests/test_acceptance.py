@@ -158,6 +158,23 @@ def test_criterion_7_consistency_crosschecks():
             )
 
 
+def test_criterion_9_info_at_large_frobenius_numbers(capsys):
+    """The sum rule runs over the generators of one operand, so `nslab
+    info` on a two- or three-generated semigroup stays fast when the
+    Frobenius number is in the hundred thousands.  Both are symmetric, so
+    K = S and the reduction number is 0."""
+    with criterion(9, "info-large-frobenius"):
+        for gens in ("2,200001", "3,100001"):
+            start = time.monotonic()
+            code = cli_main(["info", gens])
+            elapsed = time.monotonic() - start
+            data = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert data["classification"]["gorenstein"] is True
+            assert data["classification"]["canonical_reduction_number"] == 0
+            assert elapsed < 2.0, (gens, elapsed)
+
+
 def test_criterion_8_determinism(tmp_path):
     with criterion(8, "report-determinism"):
         first = emit_report(run_suite("all", 6, jobs=1), "json")

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from nslab import (
+    InconsistentCertificate,
+    SemigroupContext,
     canonical_dual,
     canonical_ideal,
     category_annihilator,
@@ -24,6 +28,7 @@ from oracles import agrees, from_ideal, slow_stable_annihilator
 
 S357 = semigroup_from_generators([3, 5, 7])
 S23 = semigroup_from_generators([2, 3])
+S35 = semigroup_from_generators([3, 5])
 S567 = semigroup_from_generators([5, 6, 7])
 NAT = naturals()
 
@@ -119,6 +124,23 @@ def test_certificate_567_interval():
     assert cert.lower.min == 10
     assert cert.upper == maximal_ideal(S567)
     assert is_subset(cert.lower, cert.upper)
+
+
+def test_shadow_other_than_conductor_is_inconsistent(monkeypatch, capsys):
+    """Symmetric and almost symmetric semigroups must have the conductor
+    as category shadow; a shadow of m contradicts it there and nowhere
+    else."""
+    from nslab.cli import main as cli_main
+
+    monkeypatch.setattr(SemigroupContext, "category_shadow", property(lambda ctx: ctx.mset))
+    for s in (S35, S357):
+        with pytest.raises(InconsistentCertificate, match="category shadow differs"):
+            certify_cohomology_annihilator(s)
+    assert certify_cohomology_annihilator(S567).status == "Interval"
+    assert cli_main(["ca", "3,5,7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: category shadow differs from conductor on <3,5,7>\n"
 
 
 def test_certificate_naturals():

@@ -7,6 +7,7 @@ replaced, reports are pinned byte for byte, and each semigroup's classes
 are shown to be enumerated once per run.
 """
 
+import dataclasses
 import hashlib
 import random
 import sys
@@ -26,6 +27,8 @@ from nslab import (
     enumerate_ideal_classes,
     enumerate_up_to_genus,
     is_subset,
+    is_ulrich,
+    n_fold_sum,
     normalize,
     run_suite,
     semigroup_from_generators,
@@ -383,6 +386,33 @@ def test_corrupted_table_gives_reference_witnesses(table):
         rec = Recorder(semigroup=str(S357))
         reference(ctx, rec)
         assert rec.violations, (table, reference.__name__)
+
+
+def test_k_ulrich_is_read_from_the_row_of_k():
+    """agClosure and ulrichFacts read K + E = E from the row of K in the
+    sum table: claiming K + N = K shows in both."""
+    ctx = SemigroupContext(S357)
+    kpos, nat = ctx.pos(ctx.k), ctx.pos(ctx.nat)
+    assert ctx.reflexive[nat]
+    for suite in ("agClosure", "ulrichFacts"):
+        assert _violations(ctx, suite) == []
+    ctx.sums[kpos][nat] = kpos
+    assert _of_check(_violations(ctx, "agClosure"), "agClosure:reflexive-is-omega-ulrich")
+    assert _of_check(_violations(ctx, "ulrichFacts"), "ulrichFacts:normalization-is-ulrich")
+
+
+def test_canonical_power_witnesses_match_n_fold_sum():
+    """Told that the reduction number of <3,5,7> is 0 (it is 2), the walk
+    along the row of K reports 0K = S and 1K = K as not K-Ulrich, with the
+    witnesses of the n_fold_sum loop it replaced."""
+    ctx = SemigroupContext(S357)
+    ctx.classification = dataclasses.replace(ctx.classification, canonical_reduction_number=0)
+    rec = Recorder(semigroup=str(S357))
+    for n in range(0, S357.multiplicity + 1):
+        power = n_fold_sum(ctx.k, n)
+        rec.check(is_ulrich(power, ctx.k), "ulrichFacts:canonical-powers", ideals=(power,), details=f"n={n}")
+    assert len(rec.violations) == 2
+    assert _of_check(_violations(ctx, "ulrichFacts"), "ulrichFacts:canonical-powers") == rec.violations
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -12,6 +12,8 @@ from nslab import (
     canonical_ideal,
     conductor_ideal,
     difference,
+    blowup,
+    enumerate_by_genus,
     enumerate_ideal_classes,
     format_ideal,
     ideal_from_generators,
@@ -300,6 +302,66 @@ def test_textual_roundtrip_past_enumeration(m, data):
     adjoined = data.draw(st.sets(st.sampled_from(sorted(s.gap_set))))
     e = translate(ideal_from_generators(s, {0} | adjoined), data.draw(st.integers(-60, 60)))
     assert parse_ideal(s, format_ideal(e)) == e
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    m=st.integers(6, 12),
+    data=st.data(),
+)
+def test_operations_past_enumeration(m, data):
+    """sum, difference, intersect and is_subset against the slow oracles
+    on semigroups of genus 20-40, for two ideals drawn as in
+    test_textual_roundtrip_past_enumeration."""
+    others = data.draw(st.lists(st.integers(m + 1, 3 * m - 1), min_size=2, max_size=4, unique=True))
+    gens = [m] + others
+    assume(reduce(math.gcd, gens) == 1)
+    s = semigroup_from_generators(gens)
+    assume(20 <= s.genus <= 40)
+    gaps = sorted(s.gap_set)
+    e, f = (
+        translate(
+            ideal_from_generators(s, {0} | data.draw(st.sets(st.sampled_from(gaps)))),
+            data.draw(st.integers(-60, 60)),
+        )
+        for _ in range(2)
+    )
+    a, b = from_ideal(e), from_ideal(f)
+    assert agrees(sum_ideals(e, f), slow_sum(a, b))
+    assert agrees(difference(e, f), slow_colon(a, b))
+    meet = intersect(e, f)
+    assert agrees(meet, slow_intersect(a, b))
+    for x, y in ((e, f), (f, e), (meet, e), (e, translate(f, -200))):
+        slow_x = from_ideal(x)
+        assert is_subset(x, y) == slow_intersect(slow_x, from_ideal(y)).same_set(slow_x)
+
+
+def test_ideals_over_equal_parents_built_separately():
+    """Ideals over two equal semigroup objects are equal, hash alike and
+    find each other as set members and dict keys; ideals over different
+    semigroups are not, even with the same least element and mask."""
+    tree = next(s for s in enumerate_by_genus(3) if str(s) == "3,5,7")
+    built = semigroup_from_generators([10, 7, 3, 5, 8])
+    assert tree is not built and tree == built
+    for e, f in zip(enumerate_ideal_classes(tree), enumerate_ideal_classes(built)):
+        assert e.parent is not f.parent
+        assert e == f and hash(e) == hash(f)
+        assert len({e, f}) == 1
+    k_tree, k_built = canonical_ideal(tree), canonical_ideal(built)
+    named = {k_tree: "K", blowup(k_tree): "B(K)"}
+    assert named[k_built] == "K" and named[blowup(k_built)] == "B(K)"
+    assert translate(k_built, 1) not in named
+    assert sum_ideals(k_tree, k_built) == sum_ideals(k_built, k_tree)
+
+    # <3,4> and <2,7> share the Frobenius number 5: the same window
+    s34, s27 = semigroup_from_generators([3, 4]), semigroup_from_generators([2, 7])
+    n34, n27 = normalization_ideal(s34), normalization_ideal(s27)
+    assert (n34.min, n34._mask) == (n27.min, n27._mask)
+    assert n34 != n27 and len({n34, n27}) == 2
+    with pytest.raises(ParentMismatch):
+        sum_ideals(n34, n27)
+    with pytest.raises(ParentMismatch):
+        is_subset(n34, n27)
 
 
 def test_ideals_over_naturals():

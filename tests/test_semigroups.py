@@ -29,6 +29,21 @@ from oracles import (
 )
 
 
+def test_equal_semigroups_built_separately_hash_alike():
+    """A tree leaf, a parsed semigroup and one built from a redundant
+    generating set are three objects for one semigroup: equal, hashed
+    alike, one member of a set."""
+    leaf = next(s for s in enumerate_by_genus(3) if str(s) == "3,5,7")
+    parsed = parse_semigroup("3,5,7")
+    redundant = semigroup_from_generators([14, 7, 3, 5, 10, 3, 8])
+    assert leaf is not parsed and parsed is not redundant
+    assert leaf == parsed == redundant
+    assert hash(leaf) == hash(parsed) == hash(redundant)
+    assert len({leaf, parsed, redundant}) == 1
+    other = parse_semigroup("3,4")  # Frobenius number 5, genus 3
+    assert other != leaf and len({leaf, other}) == 2
+
+
 def test_naturals():
     s = semigroup_from_generators([1])
     assert s.frobenius == -1
