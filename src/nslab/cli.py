@@ -9,8 +9,9 @@ Subcommands:
   verify    run a verification suite over an enumeration range
 
 Exit codes: 0 on success / pass, 1 when a verify run found violations,
-2 on usage or input errors, 3 when an internal consistency check fails
-(a bug, reported as one line on stderr).
+2 on usage or input errors or an ``--out`` file that cannot be written,
+3 when an internal consistency check fails (a bug, reported as one line
+on stderr).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .annihilators import (
     SemigroupContext,
     certify_cohomology_annihilator,
 )
-from .harness import run_suite, emit_report, UnknownSuite, UnsupportedFormat
+from .harness import _dump, run_suite, emit_report, UnknownSuite, UnsupportedFormat
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
-
-
 def _cmd_info(args) -> int:
     s = parse_semigroup(args.gens)
     payload = {
@@ -103,7 +100,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# One row of ``_dump(rows)``: keys sorted, two-space indent.
+# One row of ``harness._dump(rows)``: keys sorted, two-space indent.
 _IDEALS_ROW = """  {{
     "ideal": {},
     "minimal_generators": [
@@ -155,8 +152,12 @@ def _cmd_verify(args) -> int:
     )
     blob = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(blob.decode("utf-8"))
     return 0 if report.passed else 1

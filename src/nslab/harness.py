@@ -103,7 +103,10 @@ def run_suite(
         if pool is None:
             outs = map(run, semigroups)
         else:
-            outs = pool.map(run, semigroups, chunksize=max(1, len(semigroups) // (workers * 4)))
+            # one task per semigroup under fail_fast, so the cancel below
+            # reaches every semigroup not yet queued to a worker
+            chunk = 1 if fail_fast else max(1, len(semigroups) // (workers * 4))
+            outs = pool.map(run, semigroups, chunksize=chunk)
         for out in outs:
             results.append(out)
             if fail_fast and out[0]:
@@ -144,14 +147,17 @@ def replay_witness(witness: Witness) -> bool:
     return witness in violations or witness in informational
 
 
+def _dump(obj) -> str:
+    """The JSON format of every report and query: sorted keys, two-space
+    indent, non-ASCII kept (the caller encodes it as UTF-8)."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
+
+
 def emit_report(report: SuiteReport, format: str) -> bytes:
     """Serialize a report: json (byte-stable, no wall time), csv (one row
     per witness), or text (human summary ending in PASS or FAIL)."""
     if format == "json":
-        text = json.dumps(
-            report.to_json_dict(), sort_keys=True, ensure_ascii=False, indent=2
-        )
-        return (text + "\n").encode("utf-8")
+        return (_dump(report.to_json_dict()) + "\n").encode("utf-8")
 
     if format == "csv":
         buf = io.StringIO()

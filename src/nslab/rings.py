@@ -111,12 +111,7 @@ class ClassificationRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "gorenstein": self.gorenstein,
-            "almost_gorenstein": self.almost_gorenstein,
-            "nearly_gorenstein": self.nearly_gorenstein,
-            "far_flung_gorenstein": self.far_flung_gorenstein,
-            "canonical_reduction_number": self.canonical_reduction_number,
-            "med": self.med,
+            **vars(self),
             "canonical_trace": format_ideal(self.canonical_trace),
             "conductor": format_ideal(self.conductor),
         }

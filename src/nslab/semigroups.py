@@ -7,6 +7,10 @@ members below it, so membership is a constant-time bit test and every set
 that shows up later (ideals, colons, traces) inherits a finite window with
 a provable "everything beyond this is a member" tail.
 
+``semigroup_from_generators`` closes the generators' mask under addition
+in one pass of doubling shifts, up to a cut that Brauer's bound on the
+Frobenius number places past frobenius + multiplicity.
+
 Enumeration walks the standard semigroup tree: the children of S are the
 sets S \\ {x} where x runs over the minimal generators of S larger than
 the Frobenius number.  Every semigroup of genus g appears exactly once at
@@ -152,17 +156,7 @@ class InvariantRecord:
     med: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "embedding_dimension": self.embedding_dimension,
-            "multiplicity": self.multiplicity,
-            "genus": self.genus,
-            "frobenius": self.frobenius,
-            "pseudo_frobenius": list(self.pseudo_frobenius),
-            "cm_type": self.cm_type,
-            "symmetric": self.symmetric,
-            "almost_symmetric": self.almost_symmetric,
-            "med": self.med,
-        }
+        return {**vars(self), "pseudo_frobenius": list(self.pseudo_frobenius)}
 
 
 @dataclass(frozen=True)
@@ -305,8 +299,10 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     """Build the semigroup of all finite sums of ``gens`` (0 included).
 
     The input need not be a minimal generating set; minimal generators are
-    recomputed.  Raises EmptyGenerators / GcdNotOne when the input cannot
-    define a numerical semigroup.
+    recomputed.  The closure runs once, up to the smallest times the largest
+    generator, which Brauer's bound shows is past frobenius + multiplicity.
+    Raises EmptyGenerators / GcdNotOne when the input cannot define a
+    numerical semigroup.
     """
     gens = sorted(set(int(g) for g in gens))
     if not gens:
@@ -317,29 +313,24 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
         raise GcdNotOne(f"gcd of {gens} is not 1")
 
     mult = gens[0]
-    bound = gens[0] * gens[-1] + gens[-1] + 2
-    while True:
-        full = _ones(bound + 1)
-        mask = 1
-        for g in gens:
-            # after the shifts by g, 2g, ..., 2^(k-1) g the mask holds
-            # every x + j g with x in the old mask and 0 <= j < 2^k
-            shift = g
-            while shift <= bound:
-                mask |= (mask << shift) & full
-                shift <<= 1
-        complement = full & ~mask
-        if not complement:
-            frob = -1
-            break
-        frob = complement.bit_length() - 1
-        if bound - frob >= mult:
-            # every residue past frob is witnessed by a run of length mult
-            break
-        bound *= 2
+    # Brauer's bound F <= (a1 - 1)(an - 1) - 1 for a gcd-1 set a1 < ... < an
+    # (A. Brauer, On a problem of partitions, Amer. J. Math. 64, 1942) gives
+    # frob + mult <= mult * an - an, below the cut, so one pass decides every
+    # integer the window and the minimal generators read.
+    bound = mult * gens[-1]
+    full = _ones(bound + 1)
+    mask = 1
+    for g in gens:
+        # after the shifts by g, 2g, ..., 2^(k-1) g the mask holds
+        # every x + j g with x in the old mask and 0 <= j < 2^k
+        shift = g
+        while shift <= bound:
+            mask |= (mask << shift) & full
+            shift <<= 1
+    frob = (full & ~mask).bit_length() - 1
 
     window = mask & _ones(frob + 1)
-    genus = (frob + 1) - window.bit_count() if frob >= 0 else 0
+    genus = (frob + 1) - window.bit_count()
     # A minimal generator is at most frob + mult, and the nonzero members
     # M satisfy M + M = the union of g + M over the input generators g,
     # since every member of M is some g plus a member of S.

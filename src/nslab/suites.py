@@ -43,12 +43,7 @@ class Witness:
     details: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "semigroup": self.semigroup,
-            "ideals": list(self.ideals),
-            "check": self.check,
-            "details": self.details,
-        }
+        return {**vars(self), "ideals": list(self.ideals)}
 
 
 @dataclass

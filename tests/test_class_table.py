@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nslab.ideals as ideals
 from nslab import (
@@ -138,6 +139,44 @@ def test_table_sample_matches_oracles_past_genus_6(gens):
         a = from_ideal(ctx.classes[i])
         em = slow_sum(a, m_set)
         assert ctx.mingens[i] == tuple(z for z in a.upto(em.tail) if z not in em), i
+
+
+@st.composite
+def _multiplicity_3(draw):
+    """<3, 3 k1 + 1, 3 k2 + 2> with Apery set {0, 3 k1 + 1, 3 k2 + 2}
+    has genus k1 + k2; the Apery set is closed under sums exactly when
+    k2 <= 2 k1 and k1 <= 2 k2 + 1."""
+    genus = draw(st.integers(20, 40))
+    k1 = draw(st.integers(-(-genus // 3), (2 * genus + 1) // 3))
+    return semigroup_from_generators([3, 3 * k1 + 1, 3 * (genus - k1) + 2]), genus
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(drawn=_multiplicity_3(), rng=st.randoms(use_true_random=False))
+def test_table_entries_past_enumeration_range(drawn, rng):
+    """Multiplicity-3 semigroups of genus 20..40 (91 to 441 classes):
+    sampled sum and colon entries and per-class duals, traces and stable
+    annihilators against the slow oracles."""
+    s, genus = drawn
+    assert (s.multiplicity, s.genus) == (3, genus)
+    ctx = SemigroupContext(s)
+    f = s.frobenius
+    s_set = from_ideal(ctx.unit)
+    k_set = SlowSet([x for x in range(f + 1) if (f - x) not in s_set], f + 1)
+    n = len(ctx.classes)
+    for cell in rng.sample(range(n * n), 30):
+        i, j = divmod(cell, n)
+        a, b = from_ideal(ctx.classes[i]), from_ideal(ctx.classes[j])
+        assert agrees(ctx.classes[ctx.sums[i][j]], slow_sum(a, b)), (i, j)
+        k, off = ctx.colons[i][j]
+        assert agrees(translate(ctx.classes[k], off), slow_colon(a, b)), (i, j)
+    for i in rng.sample(range(n), 5):
+        a = from_ideal(ctx.classes[i])
+        dual = slow_colon(s_set, a)
+        assert agrees(ctx.ring_duals[i], dual), i
+        assert agrees(ctx.can_duals[i], slow_colon(k_set, a)), i
+        assert agrees(ctx.traces[i], slow_sum(a, dual)), i
+        assert agrees(ctx.stable_anns[i], slow_stable_annihilator(s_set, a)), i
 
 
 @pytest.mark.parametrize("gens", [[3, 5, 7], [4, 7, 9, 10], [5, 11]])

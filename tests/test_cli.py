@@ -134,6 +134,19 @@ def test_verify_pass(capsys, tmp_path):
     assert data["violations"] == []
 
 
+def test_verify_unwritable_out_exits_two(capsys, tmp_path):
+    """An --out file that cannot be opened is an input error: one line on
+    stderr, nothing on stdout, exit 2 (not 1, which means violations)."""
+    out_file = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "theoremB", "--max-genus", "2", "--out", str(out_file)
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out_file.exists()
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nope", "--max-genus", "2")
     assert code == 2

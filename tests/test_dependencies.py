@@ -1,0 +1,26 @@
+"""The package imports only the standard library, as README's "no runtime
+dependencies" and pyproject.toml's empty ``dependencies`` say."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nslab"
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []

@@ -159,9 +159,10 @@ def test_fail_fast_and_witnesses(monkeypatch):
 
 
 def test_fail_fast_cancels_pending_chunks(monkeypatch, tmp_path):
-    """At two jobs a failing first semigroup stops the run: the chunks
-    not yet started are cancelled, so the suite runs on fewer than the
-    50 semigroups of genus <= 6 (each call appends a line to a file the
+    """At two jobs a failing first semigroup stops the run: fail_fast
+    hands out one semigroup per task and the tasks not yet queued to a
+    worker are cancelled, so the suite runs on at most 12 of the 50
+    semigroups of genus <= 6 (each call appends a line to a file the
     forked workers share), and the report is the one-job report."""
     calls = tmp_path / "calls"
 
@@ -177,7 +178,7 @@ def test_fail_fast_cancels_pending_chunks(monkeypatch, tmp_path):
     calls.unlink()
     parallel = run_suite("slowFails", 6, jobs=2, fail_fast=True)
     assert emit_report(parallel, "json") == emit_report(serial, "json")
-    assert len(calls.read_text().splitlines()) < 50
+    assert len(calls.read_text().splitlines()) <= 12
 
 
 def test_replay_witness(monkeypatch):

@@ -104,6 +104,23 @@ def test_redundant_generating_sets_match_oracles(m, steps, pairs, large):
     assert s.invariants().to_json_dict() == brute_invariants(gens)
 
 
+def test_two_generators_reach_the_closure_bound():
+    """Two coprime generators a < b have Frobenius number ab - a - b
+    (Sylvester), the equality case of the bound that cuts the closure:
+    the members up to frobenius + 2a match the oracle, so a cut one
+    short of frobenius + multiplicity would fail here."""
+    for b in range(3, 41):
+        for a in range(2, b):
+            if math.gcd(a, b) != 1:
+                continue
+            s = semigroup_from_generators([b, a])
+            assert s.frobenius == a * b - a - b, (a, b)
+            assert s.genus == (a - 1) * (b - 1) // 2, (a, b)
+            assert s.minimal_generators == (a, b)
+            hi = s.frobenius + 2 * a
+            assert {z for z in range(hi + 1) if z in s} == brute_members([a, b], hi), (a, b)
+
+
 @pytest.mark.parametrize(
     "gens",
     [[2, 1001], [3, 1000], [97, 101], [5, 6, 10001], [40, 41, 1601], [31, 37, 41, 2000]],
