@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .semigroups import (
-    NumericalSemigroup, _bit_indices, _ones,
+    InternalError, NumericalSemigroup, _bit_indices, _ones,
     _and_shifts, _generator_mask, _or_shifts, _relocate,
 )
 from .ideals import (
@@ -83,7 +83,7 @@ TAG_SINGULAR_UPPER = "SingularUpperBound"
 TAG_THEOREM_A_SHADOW = "TheoremAShadow"
 
 
-class InconsistentCertificate(RuntimeError):
+class InconsistentCertificate(InternalError):
     """Two statements the certificate relies on disagree; indicates a bug."""
 
 

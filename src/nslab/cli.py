@@ -9,26 +9,22 @@ Subcommands:
   verify    run a verification suite over an enumeration range
 
 Exit codes: 0 on success / pass, 1 when a verify run found violations,
-2 on usage or input errors or an ``--out`` file that cannot be written,
-3 when an internal consistency check fails (a bug, reported as one line
-on stderr).
+2 on usage or input errors (any ``ValueError``) or an ``--out`` file that
+cannot be written, reported as one ``error:`` line on stderr, 3 when an
+internal consistency check fails (``semigroups.InternalError``, a bug,
+reported as one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .semigroups import NumericalSemigroup, enumerate_by_genus, parse_semigroup
-from .ideals import format_ideal
-from .rings import InternalBoundExceeded, classify
-from .annihilators import (
-    InconsistentCertificate,
-    SemigroupContext,
-    certify_cohomology_annihilator,
-)
-from .harness import _dump, run_suite, emit_report, UnknownSuite, UnsupportedFormat
+from .semigroups import InternalError, NumericalSemigroup, enumerate_by_genus, parse_semigroup
+
+# Each handler imports the modules it runs, so that a command loads only
+# those: ``enumerate`` needs nothing past ``semigroups``, and no query
+# loads the suites or the process pool.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info(args) -> int:
+    from .ideals import _dump
+    from .rings import classify
+
     s = parse_semigroup(args.gens)
     payload = {
         "semigroup": str(s),
@@ -89,9 +88,6 @@ _FILTERS = {
 
 
 def _cmd_enumerate(args) -> int:
-    if args.genus < 0:
-        print("genus must be nonnegative", file=sys.stderr)
-        return 2
     listed = enumerate_by_genus(args.genus)
     if args.filter != "none":
         listed = filter(_FILTERS[args.filter], listed)
@@ -100,7 +96,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# One row of ``harness._dump(rows)``: keys sorted, two-space indent.
+# One row of ``ideals._dump(rows)``: keys sorted, two-space indent.
 _IDEALS_ROW = """  {{
     "ideal": {},
     "minimal_generators": [
@@ -117,16 +113,28 @@ def _cmd_ideals(args) -> int:
     (ideal, minimal_generators, reflexive, trace, stable_annihilator),
     filling one template per row instead of running the pure-Python
     encoder that ``indent`` selects; every class has a generator, so no
-    list is empty."""
+    list is empty.  Many classes share a trace or a stable annihilator,
+    so each distinct ideal is formatted once."""
+    from json.encoder import encode_basestring
+    from .ideals import format_ideal
+    from .annihilators import SemigroupContext
+
     ctx = SemigroupContext(parse_semigroup(args.gens))
-    quote = json.encoder.encode_basestring
+    texts: dict[tuple[int, int], str] = {}
+
+    def text(e) -> str:
+        key = (e.min, e._mask)
+        if key not in texts:
+            texts[key] = encode_basestring(format_ideal(e))
+        return texts[key]
+
     rows = [
         _IDEALS_ROW.format(
-            quote(format_ideal(cls)),
+            text(cls),
             ",\n      ".join(map(str, gens)),
             "true" if refl else "false",
-            quote(format_ideal(ann)),
-            quote(format_ideal(tr)),
+            text(ann),
+            text(tr),
         )
         for cls, gens, refl, tr, ann in zip(
             ctx.classes, ctx.mingens, ctx.reflexive, ctx.traces, ctx.stable_anns
@@ -137,6 +145,9 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_ca(args) -> int:
+    from .ideals import _dump
+    from .annihilators import certify_cohomology_annihilator
+
     s = parse_semigroup(args.gens)
     cert = certify_cohomology_annihilator(s)
     print(_dump(cert.to_json_dict()))
@@ -144,9 +155,12 @@ def _cmd_ca(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_genus < 0 or args.jobs < 1:
-        print("bad --max-genus or --jobs", file=sys.stderr)
-        return 2
+    from .harness import emit_report, run_suite
+
+    if args.max_genus < 0:
+        raise ValueError(f"--max-genus must be nonnegative, got {args.max_genus}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     report = run_suite(
         args.suite, args.max_genus, jobs=args.jobs, fail_fast=args.fail_fast
     )
@@ -175,10 +189,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, UnknownSuite, UnsupportedFormat) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalBoundExceeded, InconsistentCertificate) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

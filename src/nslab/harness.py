@@ -11,17 +11,15 @@ JSON form.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
 from .semigroups import NumericalSemigroup, enumerate_up_to_genus, parse_semigroup
+from .ideals import _dump
 from .annihilators import SemigroupContext
 from .suites import REGISTRY, Recorder, Witness
 
@@ -99,7 +97,13 @@ def run_suite(
     run = partial(run_on_semigroup, names)
     results: list[tuple[tuple[Witness, ...], tuple[Witness, ...], int]] = []
     workers = min(jobs, len(semigroups), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool_cm = nullcontext()
+    if workers > 1:
+        # imported here: it loads multiprocessing, which in-process runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_cm = ProcessPoolExecutor(max_workers=workers)
+    with pool_cm as pool:
         if pool is None:
             outs = map(run, semigroups)
         else:
@@ -147,12 +151,6 @@ def replay_witness(witness: Witness) -> bool:
     return witness in violations or witness in informational
 
 
-def _dump(obj) -> str:
-    """The JSON format of every report and query: sorted keys, two-space
-    indent, non-ASCII kept (the caller encodes it as UTF-8)."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
-
-
 def emit_report(report: SuiteReport, format: str) -> bytes:
     """Serialize a report: json (byte-stable, no wall time), csv (one row
     per witness), or text (human summary ending in PASS or FAIL)."""
@@ -160,6 +158,8 @@ def emit_report(report: SuiteReport, format: str) -> bytes:
         return (_dump(report.to_json_dict()) + "\n").encode("utf-8")
 
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["semigroup", "check", "status", "details"])

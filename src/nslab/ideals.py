@@ -20,6 +20,7 @@ The arithmetic is the mask kernel of ``semigroups``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .semigroups import (
@@ -371,6 +372,12 @@ def format_ideal(e: RelativeIdeal) -> str:
     bits = bin(mask)[:1:-1][:top_gap]
     head = ",".join([str(lo + k) for k, c in enumerate(bits) if c == "1"])
     return f"{{{head}}}∪[{lo + top_gap + 1},∞)"
+
+
+def _dump(obj) -> str:
+    """The JSON format of every report and query: sorted keys, two-space
+    indent, non-ASCII kept (the caller encodes it as UTF-8)."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
 
 
 def parse_ideal(s: NumericalSemigroup, text: str) -> RelativeIdeal:

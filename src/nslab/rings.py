@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semigroups import NumericalSemigroup, _ones
+from .semigroups import InternalError, NumericalSemigroup, _ones
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
@@ -32,7 +32,7 @@ from .ideals import (
 )
 
 
-class InternalBoundExceeded(RuntimeError):
+class InternalBoundExceeded(InternalError):
     """A theorem-backed iteration bound was violated; indicates a bug."""
 
 

@@ -70,6 +70,12 @@ class NotAMember(ValueError):
     """An operation required an element of the semigroup and got a non-member."""
 
 
+class InternalError(RuntimeError):
+    """A check that a theorem guarantees failed inside the library; a bug,
+    not bad input.  ``rings.InternalBoundExceeded`` and
+    ``annihilators.InconsistentCertificate`` are the two kinds."""
+
+
 def _ones(n: int) -> int:
     return (1 << n) - 1
 

@@ -14,7 +14,8 @@ from nslab import (
     stable_annihilator,
     trace_ideal,
 )
-from nslab.cli import _dump, main
+from nslab.cli import main
+from nslab.ideals import _dump
 
 from oracles import brute_invariants
 
@@ -145,6 +146,28 @@ def test_verify_unwritable_out_exits_two(capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", "--genus", "-1"), "error: genus must be nonnegative\n"),
+        (
+            ("verify", "--suite", "theoremB", "--max-genus", "-1"),
+            "error: --max-genus must be nonnegative, got -1\n",
+        ),
+        (
+            ("verify", "--suite", "theoremB", "--max-genus", "2", "--jobs", "0"),
+            "error: --jobs must be at least 1, got 0\n",
+        ),
+    ],
+    ids=["negative-genus", "negative-max-genus", "zero-jobs"],
+)
+def test_bad_numbers_exit_two_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
 
 
 def test_verify_unknown_suite(capsys):

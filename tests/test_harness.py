@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import time
 
@@ -107,7 +108,8 @@ def test_jobs_capped_at_cpus_and_semigroups(monkeypatch):
             assert chunksize >= 1
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    # run_suite imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     capped = run_suite("canredFacts", 4, jobs=10**6)
     assert workers == [3]
