@@ -18,21 +18,31 @@ exact value for the cohomology annihilator rather than an interval.
 :class:`SemigroupContext` is the class table of one semigroup: its ideal
 classes, listed once, and every per-class fact (duals, traces, stable
 annihilators, minimal generators, sum and colon tables) read by class
-position.  All of them except the blowups come from the classes' window
-masks through the mask kernel of ``semigroups`` (``_or_shifts``, the sum
-rule; ``_and_shifts``, the colon rule; ``_relocate``, the least-element
-step), with no object kernel call per class:
+position.  An ideal in the table is a pair (class position, least
+element), the translate of that class to that least element.  All of
+them except the blowups come from the classes' window masks through the
+mask kernel of ``semigroups`` (``_or_shifts``, the sum rule;
+``_and_shifts``, the colon rule; ``_relocate``, the least-element step),
+with no object kernel call and no ``RelativeIdeal`` per class:
   * ``mingens``: the bits of each mask outside its shifts by the
     generators of S;
-  * ``ring_duals`` and ``can_duals``: the colon rule on the row of S or
-    of K, by each class's generators, relocated;
-  * ``traces``: the sum rule, the ring dual shifted up by each
+  * ``ring_dual_pairs`` and ``can_dual_pairs``: the colon rule on the row
+    of S or of K, by each class's generators, relocated;
+  * ``trace_pairs``: the sum rule, the ring dual shifted up by each
     generator of the class;
-  * ``stable_anns``: E - E by the colon rule on E's own row (a class),
-    then the colon rule on the trace's row by E - E's generators;
+  * ``stable_ann_pairs``: E - E by the colon rule on E's own row (a
+    class), then the colon rule on the trace's row by E - E's generators;
   * ``category_shadow``: the AND of the stable annihilators' absolute
     masks on [0, 2w);
   * ``sums`` and ``colons``: the two rules for every pair of classes.
+The pair lists are entries of the n x n tables, computed one row each
+without building them: the ring duals are ``colons[pos(S)]``, the
+canonical duals ``colons[pos(K)]``, trace i is ``(sums[i][d], off)`` for
+ring dual ``(d, off)``, and stable annihilator i is the colon of the
+trace's class by the class of E - E, shifted by the trace's least
+element.  ``ring_duals``, ``can_duals``, ``traces`` and ``stable_anns``
+are views of the pair lists as ``RelativeIdeal`` lists, built on first
+read, for the suites that call the object kernel on them.
 ``syzygies`` lists, for each class with two minimal generators, its
 syzygy and that syzygy's class position, and ``canred`` is read from
 ``classification``.  The certificate, ``nslab ideals`` and every
@@ -128,19 +138,23 @@ class SemigroupContext:
 
     ``classes`` lists the normalized ideal classes once, S first; every
     other per-class fact is a list read by class position, built on first
-    use from the lists before it.  ``masks`` holds each class's window
-    mask (bit k: k is a member, for k < ``width`` = frobenius + 1; every
-    integer from ``width`` on is a member) and ``index`` maps a window
-    mask back to its class position.  Since a relative ideal stores its
-    mask relative to its least element, ``pos(e)`` finds the class of any
-    ideal, translated or not.  Only the translation-invariant lists
+    use from the lists before it.  An ideal in the table is a pair
+    (class position, least element), as in ``colons``; class i is
+    (i, 0).  ``masks`` holds each class's window mask (bit k: k is a
+    member, for k < ``width`` = frobenius + 1; every integer from
+    ``width`` on is a member) and ``index`` maps a window mask back to
+    its class position.  Since a relative ideal stores its mask relative
+    to its least element, ``pos(e)`` finds the class of any ideal,
+    translated or not.  Only the translation-invariant lists
     (traces, reflexive, stable annihilators, blowups) may be read for an
     ideal that is not normalized.
 
-    The minimal generators and the ``sums`` and ``colons`` tables are
-    computed from the masks alone, with no ``RelativeIdeal`` per entry;
-    the duals, traces and stable annihilators build one ``RelativeIdeal``
-    per class, from masks, and call no object kernel.
+    The minimal generators, the ``sums`` and ``colons`` tables and the
+    pair lists of the duals, traces and stable annihilators are the table;
+    they are computed from the masks alone, with no ``RelativeIdeal`` per
+    entry.  ``ring_duals``, ``can_duals``, ``traces`` and ``stable_anns``
+    are views of the pair lists, as ``classes`` sits beside ``masks``:
+    each builds one ``RelativeIdeal`` per class on first read.
     """
 
     def __init__(self, s: NumericalSemigroup):
@@ -160,62 +174,69 @@ class SemigroupContext:
     def pos(self, e: RelativeIdeal) -> int:
         return self.index[e._mask]
 
-    def _dual(self, d: RelativeIdeal, i: int) -> RelativeIdeal:
-        """d - classes[i], for d = S or K (least element 0): the colon
-        rule on d's window extended by w tail bits, by classes[i]'s
-        generators, relocated."""
-        ext = d._mask | self.full << self.width
+    def _ideals(self, pairs: list[tuple[int, int]]) -> list[RelativeIdeal]:
+        """The view of a pair list as relative ideals."""
+        return [RelativeIdeal(self.s, off, self.masks[p]) for p, off in pairs]
+
+    def _dual(self, d: int, i: int) -> tuple[int, int]:
+        """d - classes[i], for d the window mask of S or K (least element
+        0): the colon rule on d's window extended by w tail bits, by
+        classes[i]'s generators, relocated."""
+        ext = d | self.full << self.width
         b0, mask = _relocate(_and_shifts(ext, self.mingens[i]) & self.full, self.width)
-        return RelativeIdeal(self.s, b0, mask)
+        return self.index[mask], b0
 
     @cached_property
-    def ring_duals(self) -> list[RelativeIdeal]:
-        return [self._dual(self.unit, i) for i in range(len(self.classes))]
+    def ring_dual_pairs(self) -> list[tuple[int, int]]:
+        return [self._dual(self.unit._mask, i) for i in range(len(self.masks))]
 
     @cached_property
-    def can_duals(self) -> list[RelativeIdeal]:
-        return [self._dual(self.k, i) for i in range(len(self.classes))]
+    def can_dual_pairs(self) -> list[tuple[int, int]]:
+        return [self._dual(self.k._mask, i) for i in range(len(self.masks))]
 
     @cached_property
-    def traces(self) -> list[RelativeIdeal]:
+    def trace_pairs(self) -> list[tuple[int, int]]:
         """E + (S - E): the sum rule, the dual's mask shifted up by each
         generator of E; its least element is the dual's, as 0 is E's."""
-        s, full = self.s, self.full
+        masks, index, full = self.masks, self.index, self.full
         return [
-            RelativeIdeal(s, d.min, _or_shifts(d._mask, gens) & full)
-            for gens, d in zip(self.mingens, self.ring_duals)
+            (index[_or_shifts(masks[d], gens) & full], off)
+            for gens, (d, off) in zip(self.mingens, self.ring_dual_pairs)
         ]
 
     @cached_property
     def reflexive(self) -> list[bool]:
         """The ring dual of x + F is -x + (S - F), so the bidual of a class
         is a translate of the ring dual of its ring dual's class."""
-        duals = self.ring_duals
-        return [
-            duals[self.pos(d)]._mask == e._mask for e, d in zip(self.classes, duals)
-        ]
+        duals = self.ring_dual_pairs
+        return [duals[d][0] == i for i, (d, _) in enumerate(duals)]
 
     @cached_property
     def dual_reflexive(self) -> list[bool]:
         """Whether the canonical dual of each class is reflexive."""
-        return [self.reflexive[self.pos(d)] for d in self.can_duals]
+        return [self.reflexive[d] for d, _ in self.can_dual_pairs]
 
     @cached_property
-    def stable_anns(self) -> list[RelativeIdeal]:
+    def stable_ann_pairs(self) -> list[tuple[int, int]]:
         """tr(E) - (E - E).  E - E is the colon rule on E's own row; it
         holds 0 and nothing below, so it is a class, and its generators
         are read from ``mingens``.  The colon rule on the trace's row by
         those generators gives the stable annihilator relative to the
         trace's least element."""
-        s, w, full, index, mingens = self.s, self.width, self.full, self.index, self.mingens
+        w, full, masks, index, mingens = self.width, self.full, self.masks, self.index, self.mingens
         tail = full << w
         out = []
-        for m, gens, tr in zip(self.masks, mingens, self.traces):
+        for m, gens, (t, off) in zip(masks, mingens, self.trace_pairs):
             endo = _and_shifts(m | tail, gens) & full
-            acc = _and_shifts(tr._mask | tail, mingens[index[endo]]) & full
-            b0, mask = _relocate(acc, w)
-            out.append(RelativeIdeal(s, tr.min + b0, mask))
+            b0, mask = _relocate(_and_shifts(masks[t] | tail, mingens[index[endo]]) & full, w)
+            out.append((index[mask], off + b0))
         return out
+
+    # The views, each a list[RelativeIdeal] built on first read
+    ring_duals = cached_property(lambda self: self._ideals(self.ring_dual_pairs))
+    can_duals = cached_property(lambda self: self._ideals(self.can_dual_pairs))
+    traces = cached_property(lambda self: self._ideals(self.trace_pairs))
+    stable_anns = cached_property(lambda self: self._ideals(self.stable_ann_pairs))
 
     @cached_property
     def category_shadow(self) -> RelativeIdeal:
@@ -224,11 +245,11 @@ class SemigroupContext:
         least element is at most w and every integer from 2w on is a
         member: the intersection is the AND of the absolute masks on
         [0, 2w), moved to its least element and cut to the window."""
-        w, full = self.width, self.full
+        w, full, masks = self.width, self.full, self.masks
         tail = full << w
         acc = _ones(2 * w)
-        for a in self.stable_anns:
-            acc &= (a._mask | tail) << a.min
+        for p, off in self.stable_ann_pairs:
+            acc &= (masks[p] | tail) << off
         b0, mask = _relocate(acc, 2 * w)
         return RelativeIdeal(self.s, b0, mask & full)
 
@@ -239,10 +260,9 @@ class SemigroupContext:
         else the first class, in enumeration order, that does not.  It
         stops at that class, so canonical duals are computed only up to
         it."""
+        kmask = self.k._mask
         for i in range(1, len(self.classes)):
-            if not self.reflexive[i]:
-                continue
-            if not self.reflexive[self.pos(self._dual(self.k, i))]:
+            if self.reflexive[i] and not self.reflexive[self._dual(kmask, i)[0]]:
                 return False, self.classes[i]
         return True, None
 
@@ -296,12 +316,20 @@ class SemigroupContext:
         rule on every lane at once."""
         if self.width == 0:
             return [[0]]
-        key = self._window_key
-        packed = self._pack(self.masks)
-        return [
-            [key[b] for b in self._windows(_or_shifts(packed, gens))]
-            for gens in self.mingens
-        ]
+        return self._sum_rows(self.mingens)
+
+    def _sum_rows(self, row_gens) -> list[list[int]]:
+        """The rows of ``sums`` for the generator tuples in ``row_gens``."""
+        key, packed = self._window_key, self._pack(self.masks)
+        return [[key[b] for b in self._windows(_or_shifts(packed, gens))] for gens in row_gens]
+
+    def sum_row(self, i: int) -> list[int]:
+        """``sums[i]``, read from the table once it is built, so that
+        every suite reads one table; else by the row rule alone, so that
+        a suite that reads one row does not build all n."""
+        if "sums" in self.__dict__ or self.width == 0:
+            return self.sums[i]
+        return self._sum_rows([self.mingens[i]])[0]
 
     @cached_property
     def colons(self) -> list[list[tuple[int, int]]]:

@@ -113,31 +113,33 @@ def _cmd_ideals(args) -> int:
     (ideal, minimal_generators, reflexive, trace, stable_annihilator),
     filling one template per row instead of running the pure-Python
     encoder that ``indent`` selects; every class has a generator, so no
-    list is empty.  Many classes share a trace or a stable annihilator,
-    so each distinct ideal is formatted once."""
+    list is empty.  Each ideal is formatted from its (class position,
+    least element) pair in the class table, class i being (i, 0); many
+    classes share a trace or a stable annihilator, so each distinct pair
+    is formatted once."""
     from json.encoder import encode_basestring
-    from .ideals import format_ideal
+    from .ideals import _format
     from .annihilators import SemigroupContext
 
     ctx = SemigroupContext(parse_semigroup(args.gens))
+    masks, width = ctx.masks, ctx.width
     texts: dict[tuple[int, int], str] = {}
 
-    def text(e) -> str:
-        key = (e.min, e._mask)
-        if key not in texts:
-            texts[key] = encode_basestring(format_ideal(e))
-        return texts[key]
+    def text(pair: tuple[int, int]) -> str:
+        if pair not in texts:
+            texts[pair] = encode_basestring(_format(pair[1], masks[pair[0]], width))
+        return texts[pair]
 
     rows = [
         _IDEALS_ROW.format(
-            text(cls),
+            text((i, 0)),
             ",\n      ".join(map(str, gens)),
             "true" if refl else "false",
             text(ann),
             text(tr),
         )
-        for cls, gens, refl, tr, ann in zip(
-            ctx.classes, ctx.mingens, ctx.reflexive, ctx.traces, ctx.stable_anns
+        for i, (gens, refl, tr, ann) in enumerate(
+            zip(ctx.mingens, ctx.reflexive, ctx.trace_pairs, ctx.stable_ann_pairs)
         )
     ]
     print("[\n" + ",\n".join(rows) + "\n]")

@@ -322,37 +322,39 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
     A set G of gaps gives an ideal exactly when it is up-closed: a gap g in
     G forces every gap g + a, for a minimal generator a, into G.  These are
     the classes of the ideal class monoid (Casabella, D'Anna and
-    García-Sánchez).  A depth-first walk decides the gaps in decreasing
-    order, so the gaps that g forces are decided before g.  It may always
-    leave g out, and takes g in only when all of them are already chosen.
-    Every branch then ends in a class, so the work is proportional to the
-    genus times the number of classes, not to 2^genus.  The walk keeps an
-    explicit stack, so the genus is not bounded by the recursion limit.
+    García-Sánchez).  The walk decides the gaps in decreasing order, so
+    the gaps that g forces are decided before g: it keeps every up-closed
+    set of the gaps decided so far, and at g adds g to each of them that
+    holds all the gaps g forces.  Every set it keeps is a class, so the
+    work is proportional to the genus times the number of classes, not to
+    2^genus.
 
     Deterministic order: by number of adjoined gaps, then by the ascending
     list of adjoined gaps, compared lexicographically.  So S itself comes
     first, and the normalization (every gap adjoined) last.
+
+    Proof that one stable sort by size gives that order.  Write r(m) for
+    the mask m reversed over [0, frobenius], so gap g is bit frobenius - g
+    of r(m), and the gaps in decreasing order are the bits of r(m) in
+    increasing order.  Before gap g the list is ascending in r(m) and uses
+    only lower bits of r; the sets that take g have that bit set, so each
+    exceeds every old set, and they follow in the order of their old sets:
+    the list stays ascending.  Reversed, it is descending in r(m), and a
+    stable sort by size keeps that order within one size.  Two sets of one
+    size have ascending lists that first differ at the lowest gap where
+    the sets differ; the set holding it comes first.  In r that gap is the
+    highest bit where the reversed masks differ, so the set holding it has
+    the larger r(m) and comes first in the descending order too.
     """
-    width = s.frobenius + 1
-    gapmask = _ones(width) & ~s._mask
-    gaps = sorted(_bit_indices(gapmask), reverse=True)
-    # g + a is forced exactly when it is a gap
-    forced = [_or_shifts(1 << g, s.minimal_generators) & gapmask for g in gaps]
-    found = []
-    stack = [(0, 0)]
-    while stack:
-        i, chosen = stack.pop()
-        if i == len(gaps):
-            found.append(chosen)
-            continue
-        stack.append((i + 1, chosen))
-        if forced[i] & ~chosen == 0:
-            stack.append((i + 1, chosen | 1 << gaps[i]))
-    # Two sets of one size: their ascending lists first differ at the
-    # lowest bit of a ^ b, and the set holding it comes first.  Reversed
-    # over [0, frobenius], that bit is the highest one where the masks
-    # differ, so the larger reversed mask comes first.
-    found.sort(key=lambda m: (m.bit_count(), -_reverse(m, width)))
+    gapmask = _ones(s.frobenius + 1) & ~s._mask
+    found = [0]
+    for g in sorted(_bit_indices(gapmask), reverse=True):
+        # g + a is forced exactly when it is a gap
+        forced = _or_shifts(1 << g, s.minimal_generators) & gapmask
+        bit = 1 << g
+        found += [c | bit for c in found if forced & ~c == 0]
+    found.reverse()
+    found.sort(key=int.bit_count)
     return tuple(RelativeIdeal(s, 0, s._mask | m) for m in found)
 
 
@@ -361,13 +363,16 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
 def format_ideal(e: RelativeIdeal) -> str:
     """Canonical textual form: "{a,b,c}∪[t,∞)" listing every member below
     the least valid tail threshold t, or "[t,∞)" for a plain ray."""
-    width = e.width
-    mask = e._mask
+    return _format(e.min, e._mask, e.width)
+
+
+def _format(lo: int, mask: int, width: int) -> str:
+    """``format_ideal`` of the ideal with least element ``lo`` and window
+    mask ``mask`` over a window of ``width`` bits."""
     missing = _ones(width) & ~mask
     if missing == 0:
-        return f"[{e.min},∞)"
+        return f"[{lo},∞)"
     top_gap = missing.bit_length() - 1
-    lo = e.min
     # bin(mask)[:1:-1] lists the bits from bit 0 up
     bits = bin(mask)[:1:-1][:top_gap]
     head = ",".join([str(lo + k) for k, c in enumerate(bits) if c == "1"])

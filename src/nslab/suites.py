@@ -596,7 +596,7 @@ def suite_ag_closure(ctx: SemigroupContext, rec: Recorder) -> None:
     Ulrich for the canonical ideal and the duality-closure shadow holds."""
     if not ctx.inv.almost_symmetric:
         return
-    sums_k = ctx.sums[ctx.pos(ctx.k)]
+    sums_k = ctx.sum_row(ctx.pos(ctx.k))
     for i, (e, refl) in enumerate(zip(ctx.classes, ctx.reflexive)):
         if e == ctx.unit or not refl:
             continue
