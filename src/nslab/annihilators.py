@@ -34,7 +34,14 @@ with no object kernel call and no ``RelativeIdeal`` per class:
     class), then the colon rule on the trace's row by E - E's generators;
   * ``category_shadow``: the AND of the stable annihilators' absolute
     masks on [0, 2w);
-  * ``sums`` and ``colons``: the two rules for every pair of classes.
+  * ``sums`` and ``colons``: the two rules for every pair of classes,
+    on every class at once, each class's mask in a lane of 64-bit words
+    of one integer, read back with one ``struct.unpack``.
+``index`` is the one map from a window mask to a class: a rule's window
+that holds 0 is looked up in it directly, and any other goes through
+``_located``, the memo that relocates each new window once and keeps its
+(class position, least element) pair for the colons, the duals and the
+stable annihilators alike.
 The pair lists are entries of the n x n tables, computed one row each
 without building them: the ring duals are ``colons[pos(S)]``, the
 canonical duals ``colons[pos(K)]``, trace i is ``(sums[i][d], off)`` for
@@ -53,8 +60,10 @@ directly and are kept as the reference the table is tested against.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .semigroups import (
     InternalError, NumericalSemigroup, _bit_indices, _ones,
@@ -133,6 +142,19 @@ def duality_closure_shadow(
     return True, None
 
 
+class _Located(dict):
+    """Window mask on [0, w) -> (class position, least element) of the
+    ideal it is: ``_relocate`` and ``index``, once per new window."""
+
+    def __init__(self, index: dict[int, int], width: int):
+        self.index, self.width = index, width
+
+    def __missing__(self, window: int) -> tuple[int, int]:
+        b0, mask = _relocate(window, self.width)
+        self[window] = pair = (self.index[mask], b0)
+        return pair
+
+
 class SemigroupContext:
     """The class table of one semigroup.
 
@@ -170,6 +192,8 @@ class SemigroupContext:
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.width = s.frobenius + 1
         self.full = _ones(self.width)
+        self._words = (2 * self.width + 63) // 64
+        self._located = _Located(self.index, self.width)
 
     def pos(self, e: RelativeIdeal) -> int:
         return self.index[e._mask]
@@ -179,12 +203,11 @@ class SemigroupContext:
         return [RelativeIdeal(self.s, off, self.masks[p]) for p, off in pairs]
 
     def _dual(self, d: int, i: int) -> tuple[int, int]:
-        """d - classes[i], for d the window mask of S or K (least element
-        0): the colon rule on d's window extended by w tail bits, by
-        classes[i]'s generators, relocated."""
+        """d - classes[i], for d the window mask of a class (S, K or any
+        other, least element 0): the colon rule on d's window extended by
+        w tail bits, by classes[i]'s generators, through ``_located``."""
         ext = d | self.full << self.width
-        b0, mask = _relocate(_and_shifts(ext, self.mingens[i]) & self.full, self.width)
-        return self.index[mask], b0
+        return self._located[_and_shifts(ext, self.mingens[i]) & self.full]
 
     @cached_property
     def ring_dual_pairs(self) -> list[tuple[int, int]]:
@@ -219,17 +242,15 @@ class SemigroupContext:
     @cached_property
     def stable_ann_pairs(self) -> list[tuple[int, int]]:
         """tr(E) - (E - E).  E - E is the colon rule on E's own row; it
-        holds 0 and nothing below, so it is a class, and its generators
-        are read from ``mingens``.  The colon rule on the trace's row by
-        those generators gives the stable annihilator relative to the
-        trace's least element."""
-        w, full, masks, index, mingens = self.width, self.full, self.masks, self.index, self.mingens
-        tail = full << w
+        holds 0 and nothing below, so it is a class, read from ``index``
+        as it is.  ``_dual`` of the trace's class by it gives the stable
+        annihilator relative to the trace's least element."""
+        dual, masks, index, full = self._dual, self.masks, self.index, self.full
+        tail = full << self.width
         out = []
-        for m, gens, (t, off) in zip(masks, mingens, self.trace_pairs):
-            endo = _and_shifts(m | tail, gens) & full
-            b0, mask = _relocate(_and_shifts(masks[t] | tail, mingens[index[endo]]) & full, w)
-            out.append((index[mask], off + b0))
+        for m, gens, (t, off) in zip(masks, self.mingens, self.trace_pairs):
+            p, b0 = dual(masks[t], index[_and_shifts(m | tail, gens) & full])
+            out.append((p, off + b0))
         return out
 
     # The views, each a list[RelativeIdeal] built on first read
@@ -280,31 +301,31 @@ class SemigroupContext:
         return [tuple(_bit_indices(_generator_mask(m, gens))) for m in self.masks]
 
     # The two tables shift every class at once: ``_pack`` puts class j's
-    # mask in lane j of one integer, at bit 8 * size * j.  A lane of
-    # size = ceil(2w / 8) bytes holds a window shifted up by less than w,
-    # or a window extended by w tail bits, so a shift by a generator offset
-    # moves no bit into the window of another lane.
+    # mask in lane j of one integer, a lane being ``_words`` = ceil(2w / 64)
+    # little-endian 64-bit words.  A lane of 2w bits or more holds a window
+    # shifted up by less than w, or a window extended by w tail bits, so a
+    # shift by a generator offset moves no bit into the window of another
+    # lane.  ``_lanes`` reads every window back as an int.
 
     def _pack(self, masks) -> int:
-        size = (2 * self.width + 7) // 8
+        size = 8 * self._words
         return int.from_bytes(b"".join(m.to_bytes(size, "little") for m in masks), "little")
 
     @cached_property
     def _lane_windows(self) -> int:
         return self._pack([self.full] * len(self.masks))
 
-    @cached_property
-    def _window_key(self) -> dict[bytes, int]:
-        """Each class's window bytes, as ``_windows`` reads them, mapped to
-        its position."""
-        nbytes = (self.width + 7) // 8
-        return {m.to_bytes(nbytes, "little"): i for i, m in enumerate(self.masks)}
-
-    def _windows(self, packed: int) -> list[bytes]:
-        """The window bytes of every lane of ``packed``."""
-        size, nbytes = (2 * self.width + 7) // 8, (self.width + 7) // 8
-        raw = (packed & self._lane_windows).to_bytes(size * len(self.masks), "little")
-        return [raw[k : k + nbytes] for k in range(0, len(raw), size)]
+    def _lanes(self, packed: int) -> Iterable[int]:
+        """The window of every lane of ``packed``: all words unpacked in
+        one call, and each lane's window words shifted into place and
+        ORed together."""
+        q, n = self._words, len(self.masks)
+        raw = (packed & self._lane_windows).to_bytes(8 * q * n, "little")
+        words = struct.unpack(f"<{q * n}Q", raw)
+        lanes = words[::q]
+        for k in range(1, (self.width + 63) // 64):
+            lanes = map(int.__or__, lanes, [x << 64 * k for x in words[k::q]])
+        return lanes
 
     @cached_property
     def sums(self) -> list[list[int]]:
@@ -320,8 +341,8 @@ class SemigroupContext:
 
     def _sum_rows(self, row_gens) -> list[list[int]]:
         """The rows of ``sums`` for the generator tuples in ``row_gens``."""
-        key, packed = self._window_key, self._pack(self.masks)
-        return [[key[b] for b in self._windows(_or_shifts(packed, gens))] for gens in row_gens]
+        at, packed = self.index.__getitem__, self._pack(self.masks)
+        return [list(map(at, self._lanes(_or_shifts(packed, gens)))) for gens in row_gens]
 
     def sum_row(self, i: int) -> list[int]:
         """``sums[i]``, read from the table once it is built, so that
@@ -341,22 +362,11 @@ class SemigroupContext:
         to the window is exact; ``_relocate`` moves it to its least element
         (an empty window is the ray from w).  Column j is the colon rule
         on every lane at once."""
-        w = self.width
-        if w == 0:
+        if self.width == 0:
             return [[(0, 0)]]
-        key = self._window_key
-        located: dict[bytes, tuple[int, int]] = {}
-
-        def locate(b: bytes) -> tuple[int, int]:
-            b0, low = _relocate(int.from_bytes(b, "little"), w)
-            return located.setdefault(b, (key[low.to_bytes(len(b), "little")], b0))
-
-        tail = self.full << w
+        at, tail = self._located.__getitem__, self.full << self.width
         packed = self._pack(m | tail for m in self.masks)
-        columns = [
-            [located.get(b) or locate(b) for b in self._windows(_and_shifts(packed, gens))]
-            for gens in self.mingens
-        ]
+        columns = [list(map(at, self._lanes(_and_shifts(packed, gens)))) for gens in self.mingens]
         return [list(row) for row in zip(*columns)]
 
     @cached_property

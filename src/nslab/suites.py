@@ -172,48 +172,63 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     """G inside E - F exactly when G + F inside E, over all class triples.
 
-    Each pair (E, F) compares two bitsets over the positions of G, read
-    from the colon and sum tables.  Every normalized G contains 0, so G
-    sits inside E - F only when that colon's least element is 0 as well,
-    and then the colon side is ``sub[k]``, the classes inside the colon's
-    class k.  The sum side is the union of the preimages {G : F + G = H}
-    over the classes H of F's sum row that lie inside E.  Each mismatching
-    G is a witness, in ascending position.
+    For each F, the two sides are lists over E of bitsets over the
+    positions of G, read from the colon and sum tables.  Every normalized
+    G contains 0, so G sits inside E - F only when that colon's least
+    element is 0 as well, and then the colon side is ``sub[k]``, the
+    classes inside the colon's class k.  The sum side {G : F + G inside E}
+    is the union of pre_F[H] = {G : F + G = H} over the classes H inside
+    E, built on the lower covers of the class poset: the masks
+    E \\ {x}, over the adjoined gaps x of E, that are in ``index``.
+    Every class H strictly inside E lies inside a cover: remove the least
+    x of E \\ H, a gap of S since S lies inside H.  E \\ {x} still holds 0
+    and is closed under adding S: e + s = x with s > 0 needs e < x in E,
+    which puts x in H if e is in H and contradicts the choice of x if
+    not.  So the sum side of E is pre_F[E] ORed with those of its covers,
+    and ``sub[E]`` is E's own bit ORed with theirs.  A cover has one
+    member fewer, so it comes first in the class list, which is sorted by
+    popcount, and one forward pass per F builds the list.  The mismatching
+    G are the witnesses, sorted back from F-major order to ascending
+    (E, F, G).
     """
-    classes = ctx.classes
+    classes, masks, index = ctx.classes, ctx.masks, ctx.index
     nc = len(classes)
-    masks = ctx.masks
-    sub = [
-        sum(1 << gi for gi, g in enumerate(masks) if g & ~m == 0) for m in masks
+    covers = [
+        [index[m ^ 1 << x] for x in _bit_indices(m & ~masks[0]) if m ^ 1 << x in index]
+        for m in masks
     ]
-    preimages = []
-    for sums_row in ctx.sums:
-        pre: dict[int, int] = {}
+
+    def down(sets: list[int]) -> list[int]:
+        """OR into each class's bitset those of the classes inside it."""
+        for ei, below in enumerate(covers):
+            acc = sets[ei]
+            for c in below:
+                acc |= sets[c]
+            sets[ei] = acc
+        return sets
+
+    sub = down([1 << ei for ei in range(nc)])
+    mismatches = []
+    for fi, (sums_row, column) in enumerate(zip(ctx.sums, zip(*ctx.colons))):
+        pre = [0] * nc
         for gi, hi in enumerate(sums_row):
-            pre[1 << hi] = pre.get(1 << hi, 0) | 1 << gi
-        preimages.append((sum(pre), pre))
-    for ei, colons_row in enumerate(ctx.colons):
-        sub_e = sub[ei]
-        for fi, (image, pre) in enumerate(preimages):
-            ki, kmin = colons_row[fi]
-            in_colon = sub[ki] if kmin == 0 else 0
-            in_e = 0
-            inside = image & sub_e
-            while inside:
-                low = inside & -inside
-                in_e |= pre[low]
-                inside ^= low
-            if in_colon == in_e:
-                continue
-            for gi in _bit_indices(in_colon ^ in_e):
-                rec.violations.append(
-                    rec._witness(
-                        "colonAdjunction:biconditional",
-                        (classes[ei], classes[fi], classes[gi]),
-                        f"G in E-F is {bool(in_colon >> gi & 1)} "
-                        f"but G+F in E is {bool(in_e >> gi & 1)}",
-                    )
-                )
+            pre[hi] |= 1 << gi
+        in_e = down(pre)
+        in_colon = [sub[k] if off == 0 else 0 for k, off in column]
+        if in_colon != in_e:
+            mismatches += [
+                (ei, fi, gi, bool(want >> gi & 1), bool(got >> gi & 1))
+                for ei, (want, got) in enumerate(zip(in_colon, in_e))
+                for gi in _bit_indices(want ^ got)
+            ]
+    for ei, fi, gi, want, got in sorted(mismatches):
+        rec.violations.append(
+            rec._witness(
+                "colonAdjunction:biconditional",
+                (classes[ei], classes[fi], classes[gi]),
+                f"G in E-F is {want} but G+F in E is {got}",
+            )
+        )
     rec.checks += nc * nc * nc
 
 
@@ -494,10 +509,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     # normalized class); the sum table is not read, so this cross-checks it
     modules = {}
     # colon_cols[e]: bitset of the classes of F - E over all F
-    colon_cols = [0] * len(classes)
-    for row in colons:
-        for ei, (hi, _) in enumerate(row):
-            colon_cols[ei] |= 1 << hi
+    colon_cols = [sum(1 << hi for hi in {hi for hi, _ in col}) for col in zip(*colons)]
     for ii, (i, bl, sums_i) in enumerate(zip(classes, ctx.blowups, sums)):
         ulrich = sum(1 << ei for ei, hi in enumerate(sums_i) if hi == ei)
         if bl not in modules:

@@ -119,10 +119,14 @@ def _slow_maximal(s_set: SlowSet, f: int) -> SlowSet:
 
 
 @pytest.mark.parametrize(
-    "gens", [list(range(9, 18)), [5, 11], [7, 9]], ids=["9..17", "5,11", "7,9"]
+    "gens",
+    [list(range(9, 18)), [5, 11], [7, 9], [3, 32, 34], [3, 34, 35]],
+    ids=["9..17", "5,11", "7,9", "3,32,34", "3,34,35"],
 )
 def test_table_sample_matches_oracles_past_genus_6(gens):
-    """256, 273 and 715 classes: a seeded sample of table entries and
+    """256, 273 and 715 classes, and 132 and 144 on either side of the
+    lane width: w = 32 packs a window extended by w tail bits in one
+    64-bit word, w = 33 in two.  A seeded sample of table entries and
     minimal generators against the slow oracles."""
     s = semigroup_from_generators(gens)
     ctx = SemigroupContext(s)
@@ -240,6 +244,7 @@ def test_duality_closure_reads_built_canonical_duals():
 
 
 S357 = semigroup_from_generators([3, 5, 7])
+S5_13 = semigroup_from_generators([5, 7, 9, 11, 13])
 
 
 def _violations(ctx, suite):
@@ -386,14 +391,25 @@ def _of_check(witnesses, check_id):
     return [w for w in witnesses if w.check == check_id]
 
 
-@pytest.mark.parametrize("table", ["sums", "colons"])
+@pytest.mark.parametrize("table", ["sums", "colons", "both"])
 def test_corrupted_table_gives_reference_witnesses(table):
-    """Two corrupted entries of <3,5,7>: each rewritten check reports
-    exactly the witnesses of the loop it replaced, order and text
+    """Two corrupted entries of <3,5,7>, or seeded entries of both tables
+    of <5,7,9,11,13> in different rows and columns: each rewritten check
+    reports exactly the witnesses of the loop it replaced, order and text
     included, and the corruption does show in those that read it."""
-    ctx = SemigroupContext(S357)
+    s = S5_13 if table == "both" else S357
+    ctx = SemigroupContext(s)
     unit, nat = ctx.pos(ctx.unit), ctx.pos(ctx.nat)
-    if table == "sums":
+    if table == "both":
+        # colonAdjunction sorts its witnesses back from F-major order,
+        # which only entries in several rows and columns exercise
+        n, rng = len(ctx.classes), random.Random(20261019)
+        rows, cols = rng.sample(range(n), 6), rng.sample(range(n), 6)
+        for i, j in zip(rows[:3], cols[:3]):
+            ctx.sums[i][j] = (ctx.sums[i][j] + rng.randrange(1, n)) % n
+        for i, j in zip(rows[3:], cols[3:]):
+            ctx.colons[i][j] = ((ctx.colons[i][j][0] + rng.randrange(1, n)) % n, 0)
+    elif table == "sums":
         # S + N and N + N are both N; claim they are S
         ctx.sums[unit][nat] = unit
         ctx.sums[nat][nat] = unit
@@ -409,11 +425,13 @@ def test_corrupted_table_gives_reference_witnesses(table):
         ("ulrichFacts", _reference_blowup_characterization, "ulrichFacts:blowup-characterization"),
         ("ulrichFacts", _reference_hom_stability, "ulrichFacts:hom-stability"),
     ]:
-        rec = Recorder(semigroup=str(S357))
+        rec = Recorder(semigroup=str(s))
         reference(ctx, rec)
         got = _of_check(_violations(ctx, suite), check_id)
         assert got == rec.violations, (table, suite)
-    if table == "sums":
+    if table == "both":
+        caught = (_reference_colon_adjunction,)
+    elif table == "sums":
         caught = (
             _reference_colon_adjunction,
             _reference_generation_monotone,
@@ -422,7 +440,7 @@ def test_corrupted_table_gives_reference_witnesses(table):
     else:
         caught = (_reference_colon_adjunction, _reference_hom_stability)
     for reference in caught:
-        rec = Recorder(semigroup=str(S357))
+        rec = Recorder(semigroup=str(s))
         reference(ctx, rec)
         assert rec.violations, (table, reference.__name__)
 
