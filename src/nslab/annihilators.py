@@ -25,7 +25,8 @@ mask kernel of ``semigroups`` (``_or_shifts``, the sum rule;
 ``_and_shifts``, the colon rule; ``_relocate``, the least-element step),
 with no object kernel call and no ``RelativeIdeal`` per class:
   * ``mingens``: the bits of each mask outside its shifts by the
-    generators of S;
+    generators of S, put in the semigroup's generator memo with one
+    ``dict.update`` for the object kernel to read;
   * ``ring_dual_pairs`` and ``can_dual_pairs``: the colon rule on the row
     of S or of K, by each class's generators, relocated;
   * ``trace_pairs``: the sum rule, the ring dual shifted up by each
@@ -294,11 +295,14 @@ class SemigroupContext:
     @cached_property
     def mingens(self) -> list[tuple[int, ...]]:
         """Minimal generators of each class, ascending, read off the masks
-        (``semigroups._generator_mask``)."""
+        (``semigroups._generator_mask``) and put in the semigroup's
+        generator memo, which the object kernel reads."""
         if self.width == 0:
             return [(0,)]
         gens = self.s.minimal_generators
-        return [tuple(_bit_indices(_generator_mask(m, gens))) for m in self.masks]
+        out = [tuple(_bit_indices(_generator_mask(m, gens))) for m in self.masks]
+        self.s._offsets_memo().update(zip(self.masks, out))
+        return out
 
     # The two tables shift every class at once: ``_pack`` puts class j's
     # mask in lane j of one integer, a lane being ``_words`` = ceil(2w / 64)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .semigroups import InternalError, NumericalSemigroup, enumerate_by_genus, parse_semigroup
 
@@ -27,7 +28,10 @@ from .semigroups import InternalError, NumericalSemigroup, enumerate_by_genus, p
 # loads the suites or the process pool.
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: in-process callers of
+    ``main`` would otherwise rebuild the whole tree on every call."""
     parser = argparse.ArgumentParser(
         prog="nslab",
         description="Exact ideal theory of numerical semigroup rings.",

@@ -15,7 +15,15 @@ Conventions:
   * isomorphism of monomial ideals is translation, so classes are stored
     normalized with least element 0.
 
-The arithmetic is the mask kernel of ``semigroups``.
+The arithmetic is the mask kernel of ``semigroups``.  ``sum``,
+``difference`` and ``minimal_generators`` read the minimal-generator
+offsets of a window mask from the semigroup's generator memo
+(``NumericalSemigroup._generator_offsets``): one dict per semigroup
+object, made on first use and seeded in bulk by the class table's
+``mingens``, so each class's generators are computed once per semigroup.
+It is per object, not a module-level cache keyed on (mask, generators):
+it dies with its semigroup, and hands no warm entries to a later run in
+the same process or to a forked pool worker.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .semigroups import (
     NumericalSemigroup, EmptyGenerators, _ones, _bit_indices,
-    _and_shifts, _generator_mask, _or_shifts, _relocate, _reverse,
+    _and_shifts, _or_shifts, _relocate, _reverse,
 )
 
 
@@ -37,7 +45,7 @@ class NotTwoGenerated(ValueError):
     """The rank-one syzygy formula needs a 2-generated ideal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelativeIdeal:
     """A fractional monomial ideal E with E + S inside E.
 
@@ -51,14 +59,13 @@ class RelativeIdeal:
     _mask: int = field(repr=False)
 
     def __post_init__(self) -> None:
-        width = self.width
+        mask, width = self._mask, self.parent.frobenius + 1
         if width == 0:
-            if self._mask:
+            if mask:
                 raise ValueError("empty window must have empty mask")
-            return
-        if not self._mask & 1:
+        elif not mask & 1:
             raise ValueError("least element must be a member")
-        if self._mask >> width:
+        elif mask >> width:
             raise ValueError("mask has bits outside the window")
 
     def validate(self) -> "RelativeIdeal":
@@ -108,9 +115,10 @@ class RelativeIdeal:
 
     def extended_mask(self, nbits: int) -> int:
         """Membership of min + k for k in [0, nbits), tail bits included."""
-        if nbits <= self.width:
+        width = self.parent.frobenius + 1
+        if nbits <= width:
             return self._mask & _ones(nbits)
-        return self._mask | (_ones(nbits) ^ _ones(self.width))
+        return self._mask | (_ones(nbits) ^ _ones(width))
 
     # -- rendering ---------------------------------------------------------
 
@@ -199,7 +207,8 @@ def is_subset(e: RelativeIdeal, f: RelativeIdeal) -> bool:
     shift = e.min - f.min
     if shift < 0:
         return False  # min(e) is attained and below f entirely
-    ext = f.extended_mask(shift + e.width)
+    width = e.parent.frobenius + 1
+    ext = f._mask | (_ones(shift + width) ^ _ones(width))
     return (e._mask << shift) & ~ext == 0
 
 
@@ -209,9 +218,9 @@ def sum(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     the translates g + f, the OR of f's mask shifted by each generator
     offset; the tail of each translate lies past the window."""
     _check_parents(e, f)
-    gens = _bit_indices(_generator_mask(e._mask, e.parent.minimal_generators))
-    wmask = _or_shifts(f._mask, gens) & _ones(e.width)
-    return RelativeIdeal(e.parent, e.min + f.min, wmask)
+    s = e.parent
+    wmask = _or_shifts(f._mask, s._generator_offsets(e._mask)) & _ones(s.frobenius + 1)
+    return RelativeIdeal(s, e.min + f.min, wmask)
 
 
 def n_fold_sum(e: RelativeIdeal, n: int) -> RelativeIdeal:
@@ -232,9 +241,12 @@ def difference(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     is satisfied automatically.
     """
     _check_parents(e, f)
-    lo = e.min - f.min
-    gens = _bit_indices(_generator_mask(f._mask, e.parent.minimal_generators))
-    return _from_window(e.parent, lo, _and_shifts(e.extended_mask(2 * e.width), gens))
+    s, width = e.parent, e.parent.frobenius + 1
+    full = _ones(width)
+    # the colon rule on e's window extended by w tail bits
+    window = _and_shifts(e._mask | full << width, s._generator_offsets(f._mask)) & full
+    b0, mask = _relocate(window, width)
+    return RelativeIdeal(s, e.min - f.min + b0, mask)
 
 
 def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
@@ -284,12 +296,11 @@ def is_reflexive(e: RelativeIdeal) -> bool:
 
 def minimal_generators(e: RelativeIdeal) -> tuple[int, ...]:
     """E minus (E + M) where M is the maximal ideal set: a minimal
-    generating set for E as a module, read off the window mask by
-    ``_generator_mask``."""
-    if e.width == 0:
+    generating set for E as a module, the offsets of its window mask in
+    the semigroup's generator memo."""
+    if e.parent.is_naturals:
         return (e.min,)
-    bits = _generator_mask(e._mask, e.parent.minimal_generators)
-    return tuple(e.min + k for k in _bit_indices(bits))
+    return tuple(e.min + k for k in e.parent._generator_offsets(e._mask))
 
 
 def syzygy_two_generated(e: RelativeIdeal) -> RelativeIdeal:
@@ -407,6 +418,9 @@ def parse_ideal(s: NumericalSemigroup, text: str) -> RelativeIdeal:
     lo = min(head) if head else t
     lo = min(lo, t)
     width = s.frobenius + 1
+    # lo + S holds every integer from lo + width on: those below t must be listed
+    if len({z for z in head if lo + width <= z < t}) < t - lo - width:
+        raise ValueError(f"not an ideal: {text!r} leaves out part of [{lo + width},{t})")
     wmask = 0
     for z in head:
         k = z - lo

@@ -165,13 +165,15 @@ class InvariantRecord:
         return {**vars(self), "pseudo_frobenius": list(self.pseudo_frobenius)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericalSemigroup:
     """A numerical semigroup, immutable and hashable.
 
     ``_mask`` holds membership for [0, frobenius]; every larger integer is a
     member.  For the full semigroup of nonnegative integers the Frobenius
-    number is -1 and the window is empty.
+    number is -1 and the window is empty.  ``_offsets`` is the generator
+    memo of ``_generator_offsets``: made on first use, outside ``==``,
+    ``hash`` and ``repr``.
     """
 
     minimal_generators: tuple[int, ...]
@@ -179,6 +181,7 @@ class NumericalSemigroup:
     multiplicity: int
     genus: int
     _mask: int = field(repr=False)
+    _offsets: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- membership ------------------------------------------------------
 
@@ -211,6 +214,23 @@ class NumericalSemigroup:
     @property
     def is_naturals(self) -> bool:
         return self.frobenius == -1
+
+    def _offsets_memo(self) -> dict[int, tuple[int, ...]]:
+        """The generator memo: window mask -> the offsets of its minimal
+        generators, ``_generator_mask`` read as ascending bit indices.  One
+        dict per semigroup object, so it lives and dies with it."""
+        if self._offsets is None:
+            object.__setattr__(self, "_offsets", {})
+        return self._offsets
+
+    def _generator_offsets(self, mask: int) -> tuple[int, ...]:
+        """The minimal-generator offsets of the ideal with window ``mask``,
+        computed once per mask and semigroup."""
+        memo = self._offsets or self._offsets_memo()
+        offs = memo.get(mask)
+        if offs is None:
+            offs = memo[mask] = tuple(_bit_indices(_generator_mask(mask, self.minimal_generators)))
+        return offs
 
     # -- derived data ------------------------------------------------------
 

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import pickle
 import random
 from functools import reduce
 
@@ -8,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nslab import (
     NotTwoGenerated,
     ParentMismatch,
+    RelativeIdeal,
     canonical_dual,
     canonical_ideal,
     conductor_ideal,
@@ -283,6 +287,11 @@ def test_textual_parse_roundtrip():
         parse_ideal(S357, "{0,1}∪[5,∞)")  # not closed under the action
     with pytest.raises(ValueError):
         parse_ideal(S357, "0,1,2")
+    # a tail past lo + width: lo + S forces the integers the text leaves out
+    with pytest.raises(ValueError):
+        parse_ideal(S345, "{0}∪[10,∞)")
+    with pytest.raises(ValueError):
+        parse_ideal(S345, "{0,1}∪[7,∞)")
 
 
 @settings(derandomize=True, deadline=None)
@@ -462,3 +471,61 @@ def test_format_ideal_matches_definition_on_random_ideals():
             assert format_ideal(e) == _definitional_format(e), (gens, picked)
             ray = translate(normalization_ideal(s), rng.randint(-9, 9))
             assert format_ideal(ray) == _definitional_format(ray), (gens, ray.min)
+
+
+def test_generator_memo_is_per_semigroup():
+    """Window mask 0b101 is the class {0,2} of <3,4,5>, generated at 0 and
+    2, and S itself in <2,5>, generated at 0.  Sums, colons and minimal
+    generators interleaved over both, translates included, agree with the
+    slow oracles only if each semigroup keeps its own generator memo."""
+    s345, s25 = semigroup_from_generators([3, 4, 5]), semigroup_from_generators([2, 5])
+    assert minimal_generators(RelativeIdeal(s345, 0, 0b101)) == (0, 2)
+    assert minimal_generators(RelativeIdeal(s25, 0, 0b101)) == (0,)
+    lists = []
+    for s, gens in ((s25, [2, 5]), (s345, [3, 4, 5])):
+        base = [RelativeIdeal(s, 0, 0b101), *enumerate_ideal_classes(s)]
+        lists.append([(translate(e, x), gens) for e in base for x in (-3, 0, 2)])
+    # one step on <2,5>, the next on <3,4,5>, each reading mask 0b101 of its
+    # own semigroup right after the other semigroup has
+    steps = [step for pair in itertools.zip_longest(*lists) for step in pair if step]
+    for e, gens in steps:
+        f = RelativeIdeal(e.parent, 1, 0b101)
+        assert minimal_generators(e) == _brute_generators(e, gens), (gens, e)
+        for a, b in ((e, f), (f, e)):
+            assert agrees(sum_ideals(a, b), slow_sum(from_ideal(a), from_ideal(b))), (gens, a, b)
+            assert agrees(difference(a, b), slow_colon(from_ideal(a), from_ideal(b))), (gens, a, b)
+
+
+def test_generator_memo_entries_after_verify():
+    """After every suite has run on a semigroup, each entry of its memo is
+    the generator mask recomputed."""
+    from nslab import enumerate_up_to_genus
+    from nslab.harness import run_on_semigroup, suite_names
+    from nslab.semigroups import _bit_indices, _generator_mask
+
+    for s in enumerate_up_to_genus(5):
+        assert s._offsets is None
+        run_on_semigroup(suite_names("all"), s)
+        assert s._offsets, str(s)
+        for mask, offsets in s._offsets.items():
+            assert offsets == tuple(_bit_indices(_generator_mask(mask, s.minimal_generators))), str(s)
+
+
+def test_value_types_pickle_freeze_and_ignore_the_memo():
+    s, twin = semigroup_from_generators([4, 7, 9, 10]), semigroup_from_generators([4, 7, 9, 10])
+    before = hash(s)
+    classes = enumerate_ideal_classes(s)
+    for e in classes:
+        minimal_generators(e)
+    assert s._offsets and twin._offsets is None
+    assert s == twin and hash(s) == hash(twin) == before and repr(s) == repr(twin)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == hash(s) and back._offsets == s._offsets
+    e = translate(classes[3], -5)
+    for obj in (e, RelativeIdeal(back, -5, classes[3]._mask)):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == e and hash(copy) == hash(e)
+        assert minimal_generators(copy) == minimal_generators(e)
+    for obj, attr in ((s, "genus"), (s, "_offsets"), (e, "min"), (e, "_mask")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, 1)
