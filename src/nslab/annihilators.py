@@ -27,12 +27,13 @@ with no object kernel call and no ``RelativeIdeal`` per class:
   * ``mingens``: the bits of each mask outside its shifts by the
     generators of S, put in the semigroup's generator memo with one
     ``dict.update`` for the object kernel to read;
-  * ``ring_dual_pairs`` and ``can_dual_pairs``: the colon rule on the row
-    of S or of K, by each class's generators, relocated;
+  * ``ring_dual_pairs`` and ``can_dual_pairs``: the colon rule on the
+    window of S or of K, by each class's generators, relocated;
   * ``trace_pairs``: the sum rule, the ring dual shifted up by each
     generator of the class;
-  * ``stable_ann_pairs``: E - E by the colon rule on E's own row (a
-    class), then the colon rule on the trace's row by E - E's generators;
+  * ``stable_ann_pairs``: E - E by the colon rule on E's own window (a
+    class), then the colon rule on the trace's window by E - E's
+    generators;
   * ``category_shadow``: the AND of the stable annihilators' absolute
     masks on [0, 2w);
   * ``sums`` and ``colons``: the two rules for every pair of classes,
@@ -43,14 +44,15 @@ that holds 0 is looked up in it directly, and any other goes through
 ``_located``, the memo that relocates each new window once and keeps its
 (class position, least element) pair for the colons, the duals and the
 stable annihilators alike.
-The pair lists are entries of the n x n tables, computed one row each
-without building them: the ring duals are ``colons[pos(S)]``, the
-canonical duals ``colons[pos(K)]``, trace i is ``(sums[i][d], off)`` for
-ring dual ``(d, off)``, and stable annihilator i is the colon of the
-trace's class by the class of E - E, shifted by the trace's least
-element.  ``ring_duals``, ``can_duals``, ``traces`` and ``stable_anns``
-are views of the pair lists as ``RelativeIdeal`` lists, built on first
-read, for the suites that call the object kernel on them.
+The pair lists are entries of the n x n tables, computed one entry per
+class without building them: ring dual i is entry pos(S) of column i of
+``colons``, ``colons[i][pos(S)]``, canonical dual i its entry pos(K),
+trace i is ``(sums[i][d], off)`` for ring dual ``(d, off)``, and stable
+annihilator i is the colon of the trace's class by the class of E - E,
+shifted by the trace's least element.  ``ring_duals``, ``can_duals``,
+``traces`` and ``stable_anns`` are views of the pair lists as
+``RelativeIdeal`` lists, built on first read, for the suites that call
+the object kernel on them.
 ``syzygies`` lists, for each class with two minimal generators, its
 syzygy and that syzygy's class position, and ``canred`` is read from
 ``classification``.  The certificate, ``nslab ideals`` and every
@@ -163,14 +165,16 @@ class SemigroupContext:
     other per-class fact is a list read by class position, built on first
     use from the lists before it.  An ideal in the table is a pair
     (class position, least element), as in ``colons``; class i is
-    (i, 0).  ``masks`` holds each class's window mask (bit k: k is a
-    member, for k < ``width`` = frobenius + 1; every integer from
-    ``width`` on is a member) and ``index`` maps a window mask back to
-    its class position.  Since a relative ideal stores its mask relative
-    to its least element, ``pos(e)`` finds the class of any ideal,
-    translated or not.  Only the translation-invariant lists
-    (traces, reflexive, stable annihilators, blowups) may be read for an
-    ideal that is not normalized.
+    (i, 0).  ``sums[i][j]`` is classes[i] + classes[j]; ``colons`` is a
+    list of columns, one per divisor, as the colon rule builds it:
+    ``colons[j][i]`` is classes[i] - classes[j].  ``masks`` holds each
+    class's window mask (bit k: k is a member, for k < ``width`` =
+    frobenius + 1; every integer from ``width`` on is a member) and
+    ``index`` maps a window mask back to its class position.  Since a
+    relative ideal stores its mask relative to its least element,
+    ``pos(e)`` finds the class of any ideal, translated or not.  Only the
+    translation-invariant lists (traces, reflexive, stable annihilators,
+    blowups) may be read for an ideal that is not normalized.
 
     The minimal generators, the ``sums`` and ``colons`` tables and the
     pair lists of the duals, traces and stable annihilators are the table;
@@ -242,7 +246,7 @@ class SemigroupContext:
 
     @cached_property
     def stable_ann_pairs(self) -> list[tuple[int, int]]:
-        """tr(E) - (E - E).  E - E is the colon rule on E's own row; it
+        """tr(E) - (E - E).  E - E is the colon rule on E's own window; it
         holds 0 and nothing below, so it is a class, read from ``index``
         as it is.  ``_dual`` of the trace's class by it gives the stable
         annihilator relative to the trace's least element."""
@@ -358,20 +362,20 @@ class SemigroupContext:
 
     @cached_property
     def colons(self) -> list[list[tuple[int, int]]]:
-        """``colons[i][j]``: (position, least element) of classes[i] -
+        """``colons[j][i]``: (position, least element) of classes[i] -
         classes[j].  The colon is the intersection of classes[i] - g over
         the minimal generators g of classes[j]: the AND of the window of
         classes[i], extended by w tail bits, shifted down by each g.  It
         has no member below 0, and every z >= w is a member, so the AND cut
         to the window is exact; ``_relocate`` moves it to its least element
         (an empty window is the ray from w).  Column j is the colon rule
-        on every lane at once."""
+        by classes[j]'s generators on every lane at once, one rule per
+        divisor, so the table is kept as the list of those columns."""
         if self.width == 0:
             return [[(0, 0)]]
         at, tail = self._located.__getitem__, self.full << self.width
         packed = self._pack(m | tail for m in self.masks)
-        columns = [list(map(at, self._lanes(_and_shifts(packed, gens)))) for gens in self.mingens]
-        return [list(row) for row in zip(*columns)]
+        return [list(map(at, self._lanes(_and_shifts(packed, gens)))) for gens in self.mingens]
 
     @cached_property
     def classification(self):

@@ -12,12 +12,15 @@ Exit codes: 0 on success / pass, 1 when a verify run found violations,
 2 on usage or input errors (any ``ValueError``) or an ``--out`` file that
 cannot be written, reported as one ``error:`` line on stderr, 3 when an
 internal consistency check fails (``semigroups.InternalError``, a bug,
-reported as one ``internal error:`` line on stderr).
+reported as one ``internal error:`` line on stderr), 141 when stdout is
+closed before the output is written, as by ``| head`` (the code a shell
+gives a process that SIGPIPE ended; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -201,6 +204,11 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so that the flush at
+        # exit does not fail again (the recipe of the ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -173,7 +173,8 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     """G inside E - F exactly when G + F inside E, over all class triples.
 
     For each F, the two sides are lists over E of bitsets over the
-    positions of G, read from the colon and sum tables.  Every normalized
+    positions of G, read from column F of the colon table (the colons
+    E - F over all E) and row F of the sum table.  Every normalized
     G contains 0, so G sits inside E - F only when that colon's least
     element is 0 as well, and then the colon side is ``sub[k]``, the
     classes inside the colon's class k.  The sum side {G : F + G inside E}
@@ -209,7 +210,7 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
 
     sub = down([1 << ei for ei in range(nc)])
     mismatches = []
-    for fi, (sums_row, column) in enumerate(zip(ctx.sums, zip(*ctx.colons))):
+    for fi, (sums_row, column) in enumerate(zip(ctx.sums, ctx.colons)):
         pre = [0] * nc
         for gi, hi in enumerate(sums_row):
             pre[hi] |= 1 << gi
@@ -508,8 +509,9 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     # mask shifted by T's generators, once per distinct blowup T (a
     # normalized class); the sum table is not read, so this cross-checks it
     modules = {}
-    # colon_cols[e]: bitset of the classes of F - E over all F
-    colon_cols = [sum(1 << hi for hi in {hi for hi, _ in col}) for col in zip(*colons)]
+    # colon_cols[e]: bitset of the classes of F - E over all F, read from
+    # column E of the colon table
+    colon_cols = [sum(1 << hi for hi in {hi for hi, _ in col}) for col in colons]
     for ii, (i, bl, sums_i) in enumerate(zip(classes, ctx.blowups, sums)):
         ulrich = sum(1 << ei for ei, hi in enumerate(sums_i) if hi == ei)
         if bl not in modules:
@@ -535,11 +537,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             rec.checks += 1
             if colon_cols[ei] & ~ulrich == 0:
                 continue
-            fi, (hi, hmin) = next(
-                (fi, row[ei])
-                for fi, row in enumerate(colons)
-                if not ulrich >> row[ei][0] & 1
-            )
+            fi, (hi, hmin) = next((f, c) for f, c in enumerate(colons[ei]) if not ulrich >> c[0] & 1)
             f, h = classes[fi], translate(classes[hi], hmin)
             rec.violations.append(
                 rec._witness(

@@ -27,17 +27,18 @@ from nslab.suites import Recorder
 
 
 def test_pairs_are_table_entries():
-    """S - E is row S of ``colons``, K - E row K; E + (S - E) is the sum
-    of E and the dual's class, moved to the dual's least element; and
-    tr(E) - (E - E) is the colon of the trace's class by the class of
-    E - E, which has least element 0, moved to the trace's least
-    element."""
+    """S - E is entry S of column E of ``colons``, K - E entry K; E +
+    (S - E) is the sum of E and the dual's class, moved to the dual's
+    least element; and tr(E) - (E - E) is the colon of the trace's class
+    by the class of E - E, which has least element 0, moved to the
+    trace's least element."""
     for s in enumerate_up_to_genus(7):
         ctx = SemigroupContext(s)
         label = str(s)
         colons, sums = ctx.colons, ctx.sums
-        assert ctx.ring_dual_pairs == colons[ctx.pos(ctx.unit)], label
-        assert ctx.can_dual_pairs == colons[ctx.pos(ctx.k)], label
+        unit, k = ctx.pos(ctx.unit), ctx.pos(ctx.k)
+        assert ctx.ring_dual_pairs == [col[unit] for col in colons], label
+        assert ctx.can_dual_pairs == [col[k] for col in colons], label
         assert ctx.trace_pairs == [
             (sums[i][d], off) for i, (d, off) in enumerate(ctx.ring_dual_pairs)
         ], label
@@ -45,7 +46,7 @@ def test_pairs_are_table_entries():
         for i, (t, off) in enumerate(ctx.trace_pairs):
             endo, endo_min = colons[i][i]
             assert endo_min == 0, (label, i)
-            p, b0 = colons[t][endo]
+            p, b0 = colons[endo][t]
             anns.append((p, off + b0))
         assert ctx.stable_ann_pairs == anns, label
         for pairs, view in (

@@ -11,10 +11,11 @@ import dataclasses
 import hashlib
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nslab.ideals as ideals
 from nslab import (
@@ -86,7 +87,7 @@ def test_table_matches_oracles():
         for i, a in enumerate(slow):
             for j, b in enumerate(slow):
                 assert agrees(ctx.classes[ctx.sums[i][j]], slow_sum(a, b)), (label, i, j)
-                k, off = ctx.colons[i][j]
+                k, off = ctx.colons[j][i]
                 assert agrees(translate(ctx.classes[k], off), slow_colon(a, b)), (label, i, j)
 
         for i, a in enumerate(slow):
@@ -137,12 +138,28 @@ def test_table_sample_matches_oracles_past_genus_6(gens):
         i, j = divmod(cell, n)
         a, b = from_ideal(ctx.classes[i]), from_ideal(ctx.classes[j])
         assert agrees(ctx.classes[ctx.sums[i][j]], slow_sum(a, b)), (i, j)
-        k, off = ctx.colons[i][j]
+        k, off = ctx.colons[j][i]
         assert agrees(translate(ctx.classes[k], off), slow_colon(a, b)), (i, j)
     for i in rng.sample(range(n), 50):
         a = from_ideal(ctx.classes[i])
         em = slow_sum(a, m_set)
         assert ctx.mingens[i] == tuple(z for z in a.upto(em.tail) if z not in em), i
+
+
+def test_colon_table_is_built_in_one_copy():
+    """The colon rule gives the table column by column, and ``colons``
+    keeps those columns: building it on <9..17> (256 classes) never holds
+    much more than the table it leaves, as a second, transposed copy
+    would (a peak of twice the table)."""
+    ctx = SemigroupContext(semigroup_from_generators(list(range(9, 18))))
+    ctx.mingens
+    tracemalloc.start()
+    try:
+        ctx.colons
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * held, (peak, held)
 
 
 @st.composite
@@ -155,16 +172,10 @@ def _multiplicity_3(draw):
     return semigroup_from_generators([3, 3 * k1 + 1, 3 * (genus - k1) + 2]), genus
 
 
-@settings(derandomize=True, deadline=None, max_examples=25)
-@given(drawn=_multiplicity_3(), rng=st.randoms(use_true_random=False))
-def test_table_entries_past_enumeration_range(drawn, rng):
-    """Multiplicity-3 semigroups of genus 20..40 (91 to 441 classes):
-    sampled sum and colon entries and per-class duals, traces and stable
-    annihilators against the slow oracles."""
-    s, genus = drawn
-    assert (s.multiplicity, s.genus) == (3, genus)
-    ctx = SemigroupContext(s)
-    f = s.frobenius
+def _check_sampled_entries(ctx, rng):
+    """30 sampled sum and colon entries and 5 classes' duals, traces and
+    stable annihilators against the slow oracles."""
+    f = ctx.s.frobenius
     s_set = from_ideal(ctx.unit)
     k_set = SlowSet([x for x in range(f + 1) if (f - x) not in s_set], f + 1)
     n = len(ctx.classes)
@@ -172,7 +183,7 @@ def test_table_entries_past_enumeration_range(drawn, rng):
         i, j = divmod(cell, n)
         a, b = from_ideal(ctx.classes[i]), from_ideal(ctx.classes[j])
         assert agrees(ctx.classes[ctx.sums[i][j]], slow_sum(a, b)), (i, j)
-        k, off = ctx.colons[i][j]
+        k, off = ctx.colons[j][i]
         assert agrees(translate(ctx.classes[k], off), slow_colon(a, b)), (i, j)
     for i in rng.sample(range(n), 5):
         a = from_ideal(ctx.classes[i])
@@ -183,13 +194,49 @@ def test_table_entries_past_enumeration_range(drawn, rng):
         assert agrees(ctx.stable_anns[i], slow_stable_annihilator(s_set, a)), i
 
 
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(drawn=_multiplicity_3(), rng=st.randoms(use_true_random=False))
+def test_table_entries_past_enumeration_range(drawn, rng):
+    """Multiplicity-3 semigroups of genus 20..40 (91 to 441 classes):
+    sampled sum and colon entries and per-class duals, traces and stable
+    annihilators against the slow oracles."""
+    s, genus = drawn
+    assert (s.multiplicity, s.genus) == (3, genus)
+    _check_sampled_entries(SemigroupContext(s), rng)
+
+
+@st.composite
+def _multiplicity_4_or_5(draw):
+    """<m, m k1 + 1, ..., m k_(m-1) + m - 1> for m = 4 or 5, of genus
+    20..30.  The semigroup they generate has multiplicity m and Apery set
+    {0, m k'_i + i} with k'_i <= k_i; its genus is the sum of the k'_i."""
+    m = draw(st.sampled_from([4, 5]))
+    ks = [draw(st.integers(1, 40 // (m - 1))) for _ in range(m - 1)]
+    s = semigroup_from_generators([m] + [m * k + i for i, k in enumerate(ks, 1)])
+    assume(20 <= s.genus <= 30)
+    return s
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(s=_multiplicity_4_or_5(), rng=st.randoms(use_true_random=False))
+def test_table_entries_past_genus_20_at_multiplicity_4_and_5(s, rng):
+    """Multiplicity 4 and 5 at genus 20..30, where a class count can pass
+    3 000: the classes are enumerated first, and a semigroup of more than
+    1 000 classes is drawn again before its tables are built.  The same
+    sampled entries as at multiplicity 3 against the slow oracles."""
+    assert s.multiplicity in (4, 5) and 20 <= s.genus <= 30
+    ctx = SemigroupContext(s)
+    assume(len(ctx.classes) <= 1000)
+    _check_sampled_entries(ctx, rng)
+
+
 @pytest.mark.parametrize("gens", [[3, 5, 7], [4, 7, 9, 10], [5, 11]])
 def test_colon_with_empty_window(gens):
     """S - N is the conductor: no member in the window [0, w), so the
     colon is the ray from w, relocated to the class of N."""
     ctx = SemigroupContext(semigroup_from_generators(gens))
     unit, nat = ctx.pos(ctx.unit), ctx.pos(ctx.nat)
-    k, off = ctx.colons[unit][nat]
+    k, off = ctx.colons[nat][unit]
     assert (k, off) == (nat, ctx.s.frobenius + 1)
     assert translate(ctx.classes[k], off) == ctx.conductor
     assert agrees(
@@ -318,7 +365,7 @@ def _reference_colon_adjunction(ctx, rec):
     for ei in range(nc):
         not_e = ~masks[ei]
         for fi in range(nc):
-            ki, kmin = colons[ei][fi]
+            ki, kmin = colons[fi][ei]
             not_colon = ~masks[ki]
             sums_row = sums[fi]
             for gi, g in enumerate(masks):
@@ -375,7 +422,7 @@ def _reference_hom_stability(ctx, rec):
                 continue
             bad = None
             for fi, f in enumerate(classes):
-                hi, hmin = colons[fi][ei]
+                hi, hmin = colons[ei][fi]
                 if sums_i[hi] != hi:
                     bad = (f, translate(classes[hi], hmin))
                     break
@@ -408,7 +455,7 @@ def test_corrupted_table_gives_reference_witnesses(table):
         for i, j in zip(rows[:3], cols[:3]):
             ctx.sums[i][j] = (ctx.sums[i][j] + rng.randrange(1, n)) % n
         for i, j in zip(rows[3:], cols[3:]):
-            ctx.colons[i][j] = ((ctx.colons[i][j][0] + rng.randrange(1, n)) % n, 0)
+            ctx.colons[j][i] = ((ctx.colons[j][i][0] + rng.randrange(1, n)) % n, 0)
     elif table == "sums":
         # S + N and N + N are both N; claim they are S
         ctx.sums[unit][nat] = unit
@@ -418,7 +465,7 @@ def test_corrupted_table_gives_reference_witnesses(table):
         # breaks the biconditional both ways and gives Hom-stability two
         # failing F for E = N, of which it must report the first
         ctx.colons[nat][nat] = (unit, 0)
-        ctx.colons[unit][nat] = (unit, 0)
+        ctx.colons[nat][unit] = (unit, 0)
     for suite, reference, check_id in [
         ("colonAdjunction", _reference_colon_adjunction, "colonAdjunction:biconditional"),
         ("traceFacts", _reference_generation_monotone, "traceFacts:generation-monotone"),

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nslab
 from nslab import (
     REGISTRY,
     enumerate_by_genus,
@@ -215,6 +220,24 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "info", "3,5,7")
     assert code == 3
     assert err == "internal error: almost-symmetry test and Ulrich test disagree on <3,5,7>\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    """``enumerate --genus 16`` writes about 190 KB, more than a pipe
+    holds: the reader takes one line and closes the pipe, and the command
+    exits with the SIGPIPE code 141 and prints nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(nslab.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nslab", "enumerate", "--genus", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_ideals_rows_match_json_dump_through_genus_8(capsys):
