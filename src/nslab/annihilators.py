@@ -25,8 +25,8 @@ mask kernel of ``semigroups`` (``_or_shifts``, the sum rule;
 ``_and_shifts``, the colon rule; ``_relocate``, the least-element step),
 with no object kernel call and no ``RelativeIdeal`` per class:
   * ``mingens``: the bits of each mask outside its shifts by the
-    generators of S, put in the semigroup's generator memo with one
-    ``dict.update`` for the object kernel to read;
+    generators of S, read through the semigroup's generator memo, which
+    the object kernel reads too;
   * ``ring_dual_pairs`` and ``can_dual_pairs``: the colon rule on the
     window of S or of K, by each class's generators, relocated;
   * ``trace_pairs``: the sum rule, the ring dual shifted up by each
@@ -69,8 +69,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .semigroups import (
-    InternalError, NumericalSemigroup, _bit_indices, _ones,
-    _and_shifts, _generator_mask, _or_shifts, _relocate,
+    InternalError, NumericalSemigroup, _ones, _and_shifts, _or_shifts, _relocate,
 )
 from .ideals import (
     RelativeIdeal,
@@ -197,7 +196,7 @@ class SemigroupContext:
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.width = s.frobenius + 1
         self.full = _ones(self.width)
-        self._words = (2 * self.width + 63) // 64
+        self._words = max(1, (2 * self.width + 63) // 64)
         self._located = _Located(self.index, self.width)
 
     def pos(self, e: RelativeIdeal) -> int:
@@ -298,22 +297,20 @@ class SemigroupContext:
 
     @cached_property
     def mingens(self) -> list[tuple[int, ...]]:
-        """Minimal generators of each class, ascending, read off the masks
-        (``semigroups._generator_mask``) and put in the semigroup's
-        generator memo, which the object kernel reads."""
+        """Minimal generators of each class, ascending, through the
+        semigroup's generator memo, which the object kernel reads too.
+        The one class of N, with its empty window, is generated by 0."""
         if self.width == 0:
             return [(0,)]
-        gens = self.s.minimal_generators
-        out = [tuple(_bit_indices(_generator_mask(m, gens))) for m in self.masks]
-        self.s._offsets_memo().update(zip(self.masks, out))
-        return out
+        return list(map(self.s._generator_offsets, self.masks))
 
     # The two tables shift every class at once: ``_pack`` puts class j's
     # mask in lane j of one integer, a lane being ``_words`` = ceil(2w / 64)
-    # little-endian 64-bit words.  A lane of 2w bits or more holds a window
-    # shifted up by less than w, or a window extended by w tail bits, so a
-    # shift by a generator offset moves no bit into the window of another
-    # lane.  ``_lanes`` reads every window back as an int.
+    # little-endian 64-bit words, and at least one, so that the empty
+    # window of N is a lane like any other.  A lane of 2w bits or more
+    # holds a window shifted up by less than w, or a window extended by w
+    # tail bits, so a shift by a generator offset moves no bit into the
+    # window of another lane.  ``_lanes`` reads every window back as an int.
 
     def _pack(self, masks) -> int:
         size = 8 * self._words
@@ -343,8 +340,6 @@ class SemigroupContext:
         g + classes[j], whose window is the OR of the shifted masks; the
         tail of each translate lies past the window.  Row i is the sum
         rule on every lane at once."""
-        if self.width == 0:
-            return [[0]]
         return self._sum_rows(self.mingens)
 
     def _sum_rows(self, row_gens) -> list[list[int]]:
@@ -356,7 +351,7 @@ class SemigroupContext:
         """``sums[i]``, read from the table once it is built, so that
         every suite reads one table; else by the row rule alone, so that
         a suite that reads one row does not build all n."""
-        if "sums" in self.__dict__ or self.width == 0:
+        if "sums" in self.__dict__:
             return self.sums[i]
         return self._sum_rows([self.mingens[i]])[0]
 
@@ -371,8 +366,6 @@ class SemigroupContext:
         (an empty window is the ray from w).  Column j is the colon rule
         by classes[j]'s generators on every lane at once, one rule per
         divisor, so the table is kept as the list of those columns."""
-        if self.width == 0:
-            return [[(0, 0)]]
         at, tail = self._located.__getitem__, self.full << self.width
         packed = self._pack(m | tail for m in self.masks)
         return [list(map(at, self._lanes(_and_shifts(packed, gens)))) for gens in self.mingens]

@@ -19,8 +19,9 @@ The arithmetic is the mask kernel of ``semigroups``.  ``sum``,
 ``difference`` and ``minimal_generators`` read the minimal-generator
 offsets of a window mask from the semigroup's generator memo
 (``NumericalSemigroup._generator_offsets``): one dict per semigroup
-object, made on first use and seeded in bulk by the class table's
-``mingens``, so each class's generators are computed once per semigroup.
+object, made on first use and filled by these operations and the class
+table's ``mingens`` alike, so each class's generators are computed once
+per semigroup.
 It is per object, not a module-level cache keyed on (mask, generators):
 it dies with its semigroup, and hands no warm entries to a later run in
 the same process or to a forked pool worker.

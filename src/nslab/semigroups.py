@@ -215,18 +215,15 @@ class NumericalSemigroup:
     def is_naturals(self) -> bool:
         return self.frobenius == -1
 
-    def _offsets_memo(self) -> dict[int, tuple[int, ...]]:
-        """The generator memo: window mask -> the offsets of its minimal
-        generators, ``_generator_mask`` read as ascending bit indices.  One
-        dict per semigroup object, so it lives and dies with it."""
-        if self._offsets is None:
-            object.__setattr__(self, "_offsets", {})
-        return self._offsets
-
     def _generator_offsets(self, mask: int) -> tuple[int, ...]:
         """The minimal-generator offsets of the ideal with window ``mask``,
-        computed once per mask and semigroup."""
-        memo = self._offsets or self._offsets_memo()
+        ``_generator_mask`` read as ascending bit indices, computed once per
+        mask and semigroup.  The memo is one dict per semigroup object,
+        made on first use, so it lives and dies with it."""
+        memo = self._offsets
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_offsets", memo)
         offs = memo.get(mask)
         if offs is None:
             offs = memo[mask] = tuple(_bit_indices(_generator_mask(mask, self.minimal_generators)))
@@ -270,7 +267,7 @@ class NumericalSemigroup:
             pseudo_frobenius=pf,
             cm_type=len(pf),
             symmetric=2 * self.genus == self.frobenius + 1,
-            almost_symmetric=self.is_almost_symmetric(),
+            almost_symmetric=2 * self.genus == self.frobenius + len(pf),
             med=self.multiplicity == len(gens),
         )
 

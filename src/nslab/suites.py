@@ -48,34 +48,38 @@ class Witness:
 
 @dataclass
 class Recorder:
+    """Counts the checks of one semigroup and records the failed ones.
+
+    ``details`` is a ``str.format`` template that ``args`` fill only when
+    a witness is recorded, so a passing check formats nothing; a template
+    with no ``args`` is the text as it stands, braces of ideal text
+    included.  An ideal fills a field as ``format_ideal`` writes it."""
+
     semigroup: str
     violations: list[Witness] = field(default_factory=list)
     informational: list[Witness] = field(default_factory=list)
     checks: int = 0
 
-    def check(self, ok: bool, check_id: str, ideals=(), details="") -> bool:
-        """Record one check.  ``details`` may be a callable so that failure
-        messages cost nothing on the passing path."""
+    def check(self, ok: bool, check_id: str, ideals=(), details="", *args) -> None:
         self.checks += 1
         if not ok:
-            self.violations.append(self._witness(check_id, ideals, details))
-        return ok
+            self.fail(check_id, ideals, details, *args)
 
-    def info(self, check_id: str, ideals=(), details="") -> None:
+    def fail(self, check_id: str, ideals=(), details="", *args) -> None:
+        """Record a violation of a check that the caller counts itself."""
+        self.violations.append(self._witness(check_id, ideals, details, args))
+
+    def info(self, check_id: str, ideals=(), details="", *args) -> None:
         self.checks += 1
-        self.informational.append(self._witness(check_id, ideals, details))
+        self.informational.append(self._witness(check_id, ideals, details, args))
 
-    def _witness(self, check_id: str, ideals, details) -> Witness:
+    def _witness(self, check_id: str, ideals, details: str, args: tuple) -> Witness:
         return Witness(
             semigroup=self.semigroup,
-            ideals=tuple(format_ideal(e) for e in ideals),
+            ideals=tuple(map(format_ideal, ideals)),
             check=check_id,
-            details=details() if callable(details) else details,
+            details=details.format(*args) if args else details,
         )
-
-
-def _sides(*pairs) -> str:
-    return "; ".join(f"{name}={format_ideal(e)}" for name, e in pairs)
 
 
 # --------------------------------------------------------------------------
@@ -119,31 +123,25 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     s = ctx.s
     bound = 2 * s.frobenius + 2
     members = s.members_below(bound + 1)
-    bad = None
-    for a in members:
-        for b in members:
-            if not s.contains(a + b):
-                bad = (a, b)
-                break
-        if bad:
-            break
-    rec.check(
-        bad is None,
-        "semigroupFacts:additive-closure",
-        details="" if bad is None else f"{bad[0]} + {bad[1]} not a member",
-    )
+    bad = next(((a, b) for a in members for b in members if not s.contains(a + b)), ())
+    rec.check(not bad, "semigroupFacts:additive-closure", (), "{} + {} not a member", *bad)
 
     if s.genus <= 6:
         brute = _brute_force_gap_sets(s.genus)
+        gaps = s.gap_set
         rec.check(
-            s.gap_set in brute,
+            gaps in brute,
             "semigroupFacts:gapset-in-bruteforce",
-            details=lambda: f"gap set {sorted(s.gap_set)} missing from the oracle list",
+            (),
+            "gap set {} missing from the oracle list",
+            sorted(gaps),
         )
         rec.check(
             _tree_gap_sets(s.genus) == brute,
             "semigroupFacts:tree-matches-bruteforce",
-            details=f"tree and brute-force enumerations differ at genus {s.genus}",
+            (),
+            "tree and brute-force enumerations differ at genus {}",
+            s.genus,
         )
 
     reflected = all(
@@ -153,7 +151,10 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     rec.check(
         ctx.inv.symmetric == reflected,
         "semigroupFacts:symmetry-reflection",
-        details=f"symmetric flag {ctx.inv.symmetric}, reflection test {reflected}",
+        (),
+        "symmetric flag {}, reflection test {}",
+        ctx.inv.symmetric,
+        reflected,
     )
 
     for n in s.minimal_generators:
@@ -161,7 +162,10 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             len(ap) == n and max(ap) == s.frobenius + n,
             "semigroupFacts:apery-shape",
-            details=lambda n=n, ap=ap: f"n={n} apery={sorted(ap)}",
+            (),
+            "n={} apery={}",
+            n,
+            sorted(ap),
         )
 
 
@@ -223,12 +227,12 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
                 for gi in _bit_indices(want ^ got)
             ]
     for ei, fi, gi, want, got in sorted(mismatches):
-        rec.violations.append(
-            rec._witness(
-                "colonAdjunction:biconditional",
-                (classes[ei], classes[fi], classes[gi]),
-                f"G in E-F is {want} but G+F in E is {got}",
-            )
+        rec.fail(
+            "colonAdjunction:biconditional",
+            (classes[ei], classes[fi], classes[gi]),
+            "G in E-F is {} but G+F in E is {}",
+            want,
+            got,
         )
     rec.checks += nc * nc * nc
 
@@ -241,21 +245,27 @@ def suite_biduality(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             is_translate(e, ddd) is not None,
             "biduality:canonical-involution",
-            ideals=(e,),
-            details=lambda e=e, ddd=ddd: _sides(("E", e), ("DDE", ddd)),
+            (e,),
+            "E={}; DDE={}",
+            e,
+            ddd,
         )
         bidual = ring_dual(ctx.ring_duals[i])
         rec.check(
             is_subset(e, bidual),
             "biduality:ring-bidual-contains",
-            ideals=(e,),
-            details=lambda e=e, bidual=bidual: _sides(("E", e), ("bidual", bidual)),
+            (e,),
+            "E={}; bidual={}",
+            e,
+            bidual,
         )
         rec.check(
             (bidual == e) == ctx.reflexive[i],
             "biduality:reflexive-iff-equal",
-            ideals=(e,),
-            details=lambda e=e, bidual=bidual: _sides(("E", e), ("bidual", bidual)),
+            (e,),
+            "E={}; bidual={}",
+            e,
+            bidual,
         )
 
 
@@ -266,19 +276,14 @@ def suite_syzygy_exactness(ctx: SemigroupContext, rec: Recorder) -> None:
     for i, j, _ in ctx.syzygies:
         e = ctx.classes[i]
         a, b = ctx.mingens[i]
-        bad = None
+        bad = ()
         for d in range(e.min - 1, a + b + 2 * s.frobenius + 3):
             lhs = int(s.contains(d - a)) + int(s.contains(d - b))
             rhs = int(e.contains(d)) + int(j.contains(d - b))
             if lhs != rhs:
                 bad = (d, lhs, rhs)
                 break
-        rec.check(
-            bad is None,
-            "syzygyExactness:per-degree",
-            ideals=(e, j),
-            details="" if bad is None else f"degree {bad[0]}: {bad[1]} != {bad[2]}",
-        )
+        rec.check(not bad, "syzygyExactness:per-degree", (e, j), "degree {}: {} != {}", *bad)
 
 
 def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
@@ -296,30 +301,20 @@ def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         shifted_ok = all(
             trace_ideal(translate(e, x)) == tr for x in (-width - 1, -1, 1, width + 1)
         )
-        rec.check(
-            shifted_ok,
-            "traceFacts:translation-invariant",
-            ideals=(e,),
-            details=lambda tr=tr: _sides(("tr", tr)),
-        )
-        rec.check(
-            is_subset(tr, ctx.unit),
-            "traceFacts:inside-ring",
-            ideals=(e,),
-            details=lambda tr=tr: _sides(("tr", tr)),
-        )
+        rec.check(shifted_ok, "traceFacts:translation-invariant", (e,), "tr={}", tr)
+        rec.check(is_subset(tr, ctx.unit), "traceFacts:inside-ring", (e,), "tr={}", tr)
     nbits = 2 * width + 1
     absolute = [tr.extended_mask(nbits - tr.min) << tr.min for tr in traces]
     for ei, sums_row in enumerate(ctx.sums):
         outside_e = ~absolute[ei]
         for hi, eh in enumerate(sums_row):
             if absolute[eh] & outside_e:
-                rec.violations.append(
-                    rec._witness(
-                        "traceFacts:generation-monotone",
-                        (classes[ei], classes[hi]),
-                        _sides(("tr(E+H)", traces[eh]), ("tr(E)", traces[ei])),
-                    )
+                rec.fail(
+                    "traceFacts:generation-monotone",
+                    (classes[ei], classes[hi]),
+                    "tr(E+H)={}; tr(E)={}",
+                    traces[eh],
+                    traces[ei],
                 )
     rec.checks += len(classes) ** 2
 
@@ -334,8 +329,10 @@ def suite_conductor_stable_ann(ctx: SemigroupContext, rec: Recorder) -> None:
     rec.check(
         got == ctx.conductor,
         "conductorStableAnn:normalization",
-        ideals=(ctx.nat,),
-        details=lambda: _sides(("ann", got), ("conductor", ctx.conductor)),
+        (ctx.nat,),
+        "ann={}; conductor={}",
+        got,
+        ctx.conductor,
     )
 
 
@@ -346,8 +343,10 @@ def suite_wang_lower_bound(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             is_subset(ctx.conductor, got),
             "wangLowerBound:conductor-subset",
-            ideals=(e,),
-            details=lambda got=got, c=ctx.conductor: _sides(("conductor", c), ("ann", got)),
+            (e,),
+            "conductor={}; ann={}",
+            ctx.conductor,
+            got,
         )
 
 
@@ -363,10 +362,11 @@ def suite_lemma_chain(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             is_subset(left, mid) and is_subset(mid, right),
             "lemmaChain:inclusions",
-            ideals=(e, omega_e),
-            details=lambda a=left, b=mid, c=right: _sides(
-                ("ann(DW)", a), ("ann(E)", b), ("ann(W)", c)
-            ),
+            (e, omega_e),
+            "ann(DW)={}; ann(E)={}; ann(W)={}",
+            left,
+            mid,
+            right,
         )
 
 
@@ -380,8 +380,10 @@ def suite_prop_syzygy_stability(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             anns[i] == anns[w],
             "propSyzygyStability:equal-annihilators",
-            ideals=(ctx.classes[i], ctx.classes[w]),
-            details=lambda a=anns[i], b=anns[w]: _sides(("ann(E)", a), ("ann(W)", b)),
+            (ctx.classes[i], ctx.classes[w]),
+            "ann(E)={}; ann(W)={}",
+            anns[i],
+            anns[w],
         )
 
 
@@ -396,8 +398,10 @@ def suite_cocohom_duality(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             anns[i] == anns[di],
             "cocohomDuality:equal-annihilators",
-            ideals=(e, d),
-            details=lambda a=anns[i], b=anns[di]: _sides(("ann(E)", a), ("ann(DE)", b)),
+            (e, d),
+            "ann(E)={}; ann(DE)={}",
+            anns[i],
+            anns[di],
         )
 
 
@@ -411,8 +415,10 @@ def suite_trace_containment(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             is_subset(tr, tr_k),
             "traceContainment:inside-canonical-trace",
-            ideals=(e,),
-            details=lambda a=tr, b=tr_k: _sides(("tr(E)", a), ("tr(K)", b)),
+            (e,),
+            "tr(E)={}; tr(K)={}",
+            tr,
+            tr_k,
         )
 
 
@@ -429,11 +435,12 @@ def _trace_biconditional(ctx: SemigroupContext, rec: Recorder, check_id: str) ->
         rec.check(
             dual_refl == tr_in,
             check_id,
-            ideals=(e,),
-            details=lambda dual_refl=dual_refl, tr_in=tr_in, a=tr, b=tr_k: (
-                f"dual reflexive {dual_refl}, trace containment {tr_in}; "
-                + _sides(("tr(E)", a), ("tr(K)", b))
-            ),
+            (e,),
+            "dual reflexive {}, trace containment {}; tr(E)={}; tr(K)={}",
+            dual_refl,
+            tr_in,
+            tr,
+            tr_k,
         )
 
 
@@ -471,36 +478,28 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             ulrich_k == duals_match,
             "ulrichFacts:dual-characterization",
-            ideals=(e,),
-            details=f"K-Ulrich {ulrich_k}, ring dual matches canonical dual {duals_match}"
-            if ulrich_k != duals_match
-            else "",
+            (e,),
+            "K-Ulrich {}, ring dual matches canonical dual {}",
+            ulrich_k,
+            duals_match,
         )
         if ulrich_k:
             rec.check(
-                ctx.dual_reflexive[i],
-                "ulrichFacts:dual-reflexive",
-                ideals=(e,),
-                details=lambda d=ctx.can_duals[i]: _sides(("DE", d)),
+                ctx.dual_reflexive[i], "ulrichFacts:dual-reflexive", (e,), "DE={}", ctx.can_duals[i]
             )
 
         bid = difference(ctx.unit, ctx.blowups[i])
         tr = ctx.traces[i]
         equality = bid == tr
         translate_dual = is_translate(ctx.ring_duals[i], tr) is not None
-        rec.check(
-            is_subset(bid, tr),
-            "ulrichFacts:b-inside-trace",
-            ideals=(e,),
-            details=lambda a=bid, b=tr: _sides(("b", a), ("tr", b)),
-        )
+        rec.check(is_subset(bid, tr), "ulrichFacts:b-inside-trace", (e,), "b={}; tr={}", bid, tr)
         rec.check(
             equality == translate_dual,
             "ulrichFacts:b-equality-iff-dual-trace",
-            ideals=(e,),
-            details=f"b==tr is {equality}, tr translate of dual is {translate_dual}"
-            if equality != translate_dual
-            else "",
+            (e,),
+            "b==tr is {}, tr translate of dual is {}",
+            equality,
+            translate_dual,
         )
 
     unit = ctx.unit
@@ -521,12 +520,12 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             )
         for ei in _bit_indices(ulrich ^ modules[bl]):
             u = bool(ulrich >> ei & 1)
-            rec.violations.append(
-                rec._witness(
-                    "ulrichFacts:blowup-characterization",
-                    (classes[ei], i),
-                    f"I-Ulrich {u}, module over blowup {not u}",
-                )
+            rec.fail(
+                "ulrichFacts:blowup-characterization",
+                (classes[ei], i),
+                "I-Ulrich {}, module over blowup {}",
+                u,
+                not u,
             )
         rec.checks += len(classes)
         if i == unit:
@@ -539,33 +538,18 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
                 continue
             fi, (hi, hmin) = next((f, c) for f, c in enumerate(colons[ei]) if not ulrich >> c[0] & 1)
             f, h = classes[fi], translate(classes[hi], hmin)
-            rec.violations.append(
-                rec._witness(
-                    "ulrichFacts:hom-stability",
-                    (classes[ei], i, f, h),
-                    _sides(("F", f), ("F-E", h)),
-                )
-            )
+            rec.fail("ulrichFacts:hom-stability", (classes[ei], i, f, h), "F={}; F-E={}", f, h)
 
     canred = ctx.canred
     top = max(ctx.s.multiplicity - 1, canred)
     p = 0
     for n in range(top + 2):
         if n >= canred:
-            rec.check(
-                sums_k[p] == p,
-                "ulrichFacts:canonical-powers",
-                ideals=(classes[p],),
-                details=f"n={n}",
-            )
+            rec.check(sums_k[p] == p, "ulrichFacts:canonical-powers", (classes[p],), "n={}", n)
         p = sums_k[p]
 
     nat = ctx.pos(ctx.nat)
-    rec.check(
-        sums_k[nat] == nat,
-        "ulrichFacts:normalization-is-ulrich",
-        ideals=(ctx.nat,),
-    )
+    rec.check(sums_k[nat] == nat, "ulrichFacts:normalization-is-ulrich", (ctx.nat,))
 
 
 def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
@@ -577,7 +561,10 @@ def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     rec.check(
         inv.symmetric == (canred <= 1),
         "canredFacts:gorenstein-iff-le-1",
-        details=f"symmetric {inv.symmetric}, can.red {canred}",
+        (),
+        "symmetric {}, can.red {}",
+        inv.symmetric,
+        canred,
     )
     kpos = ctx.pos(ctx.k)
     tr_k = ctx.traces[kpos]
@@ -585,19 +572,21 @@ def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     rec.check(
         (canred <= 2) == (is_translate(dual_k, tr_k) is not None),
         "canredFacts:le-2-iff-trace-is-dual",
-        ideals=(ctx.k,),
-        details=lambda: _sides(("tr(K)", tr_k), ("K*", dual_k)) + f"; can.red {canred}",
+        (ctx.k,),
+        "tr(K)={}; K*={}; can.red {}",
+        tr_k,
+        dual_k,
+        canred,
     )
     if inv.almost_symmetric:
-        rec.check(
-            canred <= 2,
-            "canredFacts:almost-implies-le-2",
-            details=f"can.red {canred}",
-        )
+        rec.check(canred <= 2, "canredFacts:almost-implies-le-2", (), "can.red {}", canred)
     rec.check(
         canred <= max(ctx.s.multiplicity - 1, 0),
         "canredFacts:multiplicity-bound",
-        details=f"can.red {canred}, multiplicity {ctx.s.multiplicity}",
+        (),
+        "can.red {}, multiplicity {}",
+        canred,
+        ctx.s.multiplicity,
     )
 
 
@@ -610,17 +599,13 @@ def suite_ag_closure(ctx: SemigroupContext, rec: Recorder) -> None:
     for i, (e, refl) in enumerate(zip(ctx.classes, ctx.reflexive)):
         if e == ctx.unit or not refl:
             continue
-        rec.check(
-            sums_k[i] == i,
-            "agClosure:reflexive-is-omega-ulrich",
-            ideals=(e,),
-        )
+        rec.check(sums_k[i] == i, "agClosure:reflexive-is-omega-ulrich", (e,))
     closure, witness = ctx.duality_closure
     rec.check(
         closure,
         "agClosure:duality-closure",
-        ideals=() if witness is None else (witness,),
-        details="" if closure else "closure fails at the listed class",
+        () if witness is None else (witness,),
+        "closure fails at the listed class",
     )
 
 
@@ -633,7 +618,10 @@ def suite_theorem_b(ctx: SemigroupContext, rec: Recorder) -> None:
     rec.check(
         got == ctx.conductor,
         "theoremB:category-annihilator-is-conductor",
-        details=lambda: _sides(("category", got), ("conductor", ctx.conductor)),
+        (),
+        "category={}; conductor={}",
+        got,
+        ctx.conductor,
     )
 
 
@@ -653,16 +641,19 @@ def suite_med_shadow(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             indicator,
             "medShadow:ann-dual-maximal",
-            ideals=(m_class,),
-            details=lambda: _sides(("ann(D m)", ann_dm), ("m", ctx.mset)),
+            (m_class,),
+            "ann(D m)={}; m={}",
+            ann_dm,
+            ctx.mset,
         )
         rec.check(closure, "medShadow:duality-closure")
     elif indicator or closure:
         rec.info(
             "medShadow:converse-indicator",
-            ideals=(m_class,),
-            details=f"not almost symmetric yet ann(Dm)=m is {indicator}, "
-            f"closure is {closure}",
+            (m_class,),
+            "not almost symmetric yet ann(Dm)=m is {}, closure is {}",
+            indicator,
+            closure,
         )
 
 
@@ -678,8 +669,10 @@ def suite_far_flung(ctx: SemigroupContext, rec: Recorder) -> None:
         rec.check(
             e == ctx.nat,
             "farFlung:reflexive-pair-is-normalization",
-            ideals=(e,),
-            details=lambda e=e: _sides(("E", e), ("normalization", ctx.nat)),
+            (e,),
+            "E={}; normalization={}",
+            e,
+            ctx.nat,
         )
 
 
@@ -688,11 +681,7 @@ def suite_multiplicity3(ctx: SemigroupContext, rec: Recorder) -> None:
     trace criterion biconditional."""
     if ctx.s.multiplicity != 3:
         return
-    rec.check(
-        ctx.canred <= 2,
-        "multiplicity3:canred-le-2",
-        details=f"can.red {ctx.canred}",
-    )
+    rec.check(ctx.canred <= 2, "multiplicity3:canred-le-2", (), "can.red {}", ctx.canred)
     _trace_biconditional(ctx, rec, "multiplicity3:trace-biconditional")
 
 

@@ -41,7 +41,7 @@ from nslab import (
 from nslab.cli import main as cli_main
 from nslab.harness import emit_report
 from nslab.ideals import sum as ideal_sum
-from nslab.suites import Recorder, _sides
+from nslab.suites import Recorder
 
 from oracles import (
     SlowSet,
@@ -372,12 +372,12 @@ def _reference_colon_adjunction(ctx, rec):
                 in_colon = kmin == 0 and g & not_colon == 0
                 in_e = masks[sums_row[gi]] & not_e == 0
                 if in_colon != in_e:
-                    rec.violations.append(
-                        rec._witness(
-                            "colonAdjunction:biconditional",
-                            (classes[ei], classes[fi], classes[gi]),
-                            f"G in E-F is {in_colon} but G+F in E is {in_e}",
-                        )
+                    rec.fail(
+                        "colonAdjunction:biconditional",
+                        (classes[ei], classes[fi], classes[gi]),
+                        "G in E-F is {} but G+F in E is {}",
+                        in_colon,
+                        in_e,
                     )
     rec.checks += nc * nc * nc
 
@@ -390,8 +390,10 @@ def _reference_generation_monotone(ctx, rec):
             rec.check(
                 is_subset(tr_gen, tr_e),
                 "traceFacts:generation-monotone",
-                ideals=(e, h),
-                details=lambda a=tr_gen, b=tr_e: _sides(("tr(E+H)", a), ("tr(E)", b)),
+                (e, h),
+                "tr(E+H)={}; tr(E)={}",
+                tr_gen,
+                tr_e,
             )
 
 
@@ -420,17 +422,18 @@ def _reference_hom_stability(ctx, rec):
         for ei, e in enumerate(classes):
             if sums_i[ei] != ei:
                 continue
-            bad = None
+            bad = ()
             for fi, f in enumerate(classes):
                 hi, hmin = colons[ei][fi]
                 if sums_i[hi] != hi:
                     bad = (f, translate(classes[hi], hmin))
                     break
             rec.check(
-                bad is None,
+                not bad,
                 "ulrichFacts:hom-stability",
-                ideals=(e, i) if bad is None else (e, i, bad[0], bad[1]),
-                details="" if bad is None else _sides(("F", bad[0]), ("F-E", bad[1])),
+                (e, i, *bad),
+                "F={}; F-E={}",
+                *bad,
             )
 
 
