@@ -25,6 +25,12 @@ per semigroup.
 It is per object, not a module-level cache keyed on (mask, generators):
 it dies with its semigroup, and hands no warm entries to a later run in
 the same process or to a forked pool worker.
+
+A sum, colon or dual builds one ``RelativeIdeal``, its result, and
+nothing else: ``difference``, ``ring_dual`` and ``canonical_dual`` share
+one colon core, ``_colon``, which reads the first operand as a least
+element and a window mask, so the duals take S's window or K's reflected
+one without building S or K.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 
 from .semigroups import (
     NumericalSemigroup, EmptyGenerators, _ones, _bit_indices,
-    _and_shifts, _or_shifts, _relocate, _reverse,
+    _and_shifts, _membership, _or_shifts, _relocate, _reverse,
 )
 
 
@@ -46,18 +52,28 @@ class NotTwoGenerated(ValueError):
     """The rank-one syzygy formula needs a 2-generated ideal."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RelativeIdeal:
     """A fractional monomial ideal E with E + S inside E.
 
     ``_mask`` stores membership of min + k for k in [0, width) where
     width = frobenius(parent) + 1; every integer >= min + width is a
     member.  Bit 0 is always set (the minimum is attained).
+
+    ``__init__`` is written by hand, as in ``NumericalSemigroup``: it
+    stores the fields through the slot descriptors and then runs
+    ``__post_init__``, the three window checks.
     """
 
     parent: NumericalSemigroup
     min: int
     _mask: int = field(repr=False)
+
+    def __init__(self, parent: NumericalSemigroup, min: int, _mask: int) -> None:
+        _set_parent(self, parent)
+        _set_min(self, min)
+        _set_mask(self, _mask)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         mask, width = self._mask, self.parent.frobenius + 1
@@ -114,13 +130,6 @@ class RelativeIdeal:
         out.extend(range(max(self.min, self.tail_start), stop))
         return out
 
-    def extended_mask(self, nbits: int) -> int:
-        """Membership of min + k for k in [0, nbits), tail bits included."""
-        width = self.parent.frobenius + 1
-        if nbits <= width:
-            return self._mask & _ones(nbits)
-        return self._mask | (_ones(nbits) ^ _ones(width))
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -136,6 +145,11 @@ class RelativeIdeal:
 
     def __sub__(self, other: "RelativeIdeal") -> "RelativeIdeal":
         return difference(self, other)
+
+
+_set_parent = RelativeIdeal.parent.__set__
+_set_min = RelativeIdeal.min.__set__
+_set_mask = RelativeIdeal._mask.__set__
 
 
 def _check_parents(e: RelativeIdeal, f: RelativeIdeal) -> None:
@@ -242,12 +256,19 @@ def difference(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     is satisfied automatically.
     """
     _check_parents(e, f)
-    s, width = e.parent, e.parent.frobenius + 1
+    return _colon(e.min, e._mask, f)
+
+
+def _colon(lo: int, emask: int, f: RelativeIdeal) -> RelativeIdeal:
+    """E - f for the ideal E over f's semigroup with least element ``lo``
+    and window mask ``emask``: the colon rule on that window extended by
+    w tail bits."""
+    s = f.parent
+    width = s.frobenius + 1
     full = _ones(width)
-    # the colon rule on e's window extended by w tail bits
-    window = _and_shifts(e._mask | full << width, s._generator_offsets(f._mask)) & full
+    window = _and_shifts(emask | full << width, s._generator_offsets(f._mask)) & full
     b0, mask = _relocate(window, width)
-    return RelativeIdeal(s, e.min - f.min + b0, mask)
+    return RelativeIdeal(s, lo - f.min + b0, mask)
 
 
 def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
@@ -255,8 +276,8 @@ def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     _check_parents(e, f)
     lo = max(e.min, f.min)
     width = e.width
-    emask = e.extended_mask(lo - e.min + width) >> (lo - e.min)
-    fmask = f.extended_mask(lo - f.min + width) >> (lo - f.min)
+    emask = _membership(e.min, e._mask, width, lo, lo + width)
+    fmask = _membership(f.min, f._mask, width, lo, lo + width)
     return _from_window(e.parent, lo, emask & fmask)
 
 
@@ -268,19 +289,24 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     Its window pattern is the reflected complement of the semigroup's; it
     equals S exactly when S is symmetric.
     """
+    return RelativeIdeal(s, 0, _canonical_mask(s))
+
+
+def _canonical_mask(s: NumericalSemigroup) -> int:
+    """The window of the normalized canonical ideal: bit x of the
+    reversed gap mask is set when frobenius - x is a gap."""
     width = s.frobenius + 1
-    # bit x of the reversed gap mask is set when frobenius - x is a gap
-    return RelativeIdeal(s, 0, _reverse(_ones(width) & ~s._mask, width))
+    return _reverse(_ones(width) & ~s._mask, width)
 
 
 def canonical_dual(e: RelativeIdeal) -> RelativeIdeal:
     """Dual against the canonical ideal: K - E."""
-    return difference(canonical_ideal(e.parent), e)
+    return _colon(0, _canonical_mask(e.parent), e)
 
 
 def ring_dual(e: RelativeIdeal) -> RelativeIdeal:
     """Dual against the ring: S - E."""
-    return difference(unit_ideal(e.parent), e)
+    return _colon(0, e.parent._mask, e)
 
 
 def trace_ideal(e: RelativeIdeal) -> RelativeIdeal:

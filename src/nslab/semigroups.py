@@ -42,12 +42,14 @@ alone:
     sum of the set with the nonzero members of S;
   * ``_relocate``, the least-element step that moves a window to its
     least member;
+  * ``_membership``, the membership step that reads a set on any range
+    of integers;
   * ``_reverse``, the reflection k -> w - 1 - k of a window;
   * ``_pseudo_frobenius``, the colon rule S - M read on the gaps.
 ``invariants`` and ``semigroup_from_generators`` call it, and so do the
-ideal operations of ``ideals`` and the class table of
+ideal operations of ``ideals``, the class table of
 ``annihilators.SemigroupContext``, which never builds an ideal to
-combine two classes.
+combine two classes, and the mask checks of ``suites``.
 """
 
 from __future__ import annotations
@@ -130,6 +132,18 @@ def _generator_mask(mask: int, gens) -> int:
     return mask & ~_or_shifts(mask, gens)
 
 
+def _membership(least: int, mask: int, width: int, lo: int, hi: int) -> int:
+    """The membership step: bit d - lo, for lo <= d < hi, says whether d
+    lies in the set with least element ``least``, window ``mask`` over
+    [least, least + width) and every integer from least + width on.
+    ``mask | -1 << width`` is that set from its least element on, the tail
+    being the infinite ones of a negative int, so a least element below lo
+    is a right shift."""
+    ext = mask | -1 << width
+    ext = ext << least - lo if least >= lo else ext >> lo - least
+    return ext & (1 << hi - lo) - 1
+
+
 def _reverse(mask: int, width: int) -> int:
     """The reflection of a window: bit k of the result is bit
     width - 1 - k of ``mask``."""
@@ -165,7 +179,7 @@ class InvariantRecord:
         return {**vars(self), "pseudo_frobenius": list(self.pseudo_frobenius)}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NumericalSemigroup:
     """A numerical semigroup, immutable and hashable.
 
@@ -174,6 +188,10 @@ class NumericalSemigroup:
     number is -1 and the window is empty.  ``_offsets`` is the generator
     memo of ``_generator_offsets``: made on first use, outside ``==``,
     ``hash`` and ``repr``.
+
+    ``__init__`` is written by hand: it stores the fields through the slot
+    descriptors, which skips the ``object.__setattr__`` call per field that
+    a generated frozen ``__init__`` makes, and it validates nothing.
     """
 
     minimal_generators: tuple[int, ...]
@@ -181,7 +199,22 @@ class NumericalSemigroup:
     multiplicity: int
     genus: int
     _mask: int = field(repr=False)
-    _offsets: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _offsets: dict | None = field(init=False, repr=False, compare=False)
+
+    def __init__(
+        self,
+        minimal_generators: tuple[int, ...],
+        frobenius: int,
+        multiplicity: int,
+        genus: int,
+        _mask: int,
+    ) -> None:
+        _set_gens(self, minimal_generators)
+        _set_frobenius(self, frobenius)
+        _set_multiplicity(self, multiplicity)
+        _set_genus(self, genus)
+        _set_mask(self, _mask)
+        _set_offsets(self, None)
 
     # -- membership ------------------------------------------------------
 
@@ -223,7 +256,7 @@ class NumericalSemigroup:
         memo = self._offsets
         if memo is None:
             memo = {}
-            object.__setattr__(self, "_offsets", memo)
+            _set_offsets(self, memo)
         offs = memo.get(mask)
         if offs is None:
             offs = memo[mask] = tuple(_bit_indices(_generator_mask(mask, self.minimal_generators)))
@@ -279,6 +312,15 @@ class NumericalSemigroup:
 
     def __str__(self) -> str:
         return ",".join(str(g) for g in self.minimal_generators)
+
+
+# the slot descriptors' setters, which store a field past the frozen __setattr__
+_set_gens = NumericalSemigroup.minimal_generators.__set__
+_set_frobenius = NumericalSemigroup.frobenius.__set__
+_set_multiplicity = NumericalSemigroup.multiplicity.__set__
+_set_genus = NumericalSemigroup.genus.__set__
+_set_mask = NumericalSemigroup._mask.__set__
+_set_offsets = NumericalSemigroup._offsets.__set__
 
 
 def _child(gens: tuple[int, ...], frob: int, m: int, mask: int, i: int) -> tuple:

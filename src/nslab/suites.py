@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .annihilators import SemigroupContext, stable_annihilator
-from .semigroups import _bit_indices, _or_shifts, enumerate_by_genus
+from .semigroups import _bit_indices, _membership, _or_shifts, enumerate_by_genus
 from .ideals import (
     canonical_dual,
     difference,
@@ -271,18 +271,31 @@ def suite_biduality(ctx: SemigroupContext, rec: Recorder) -> None:
 
 def suite_syzygy_exactness(ctx: SemigroupContext, rec: Recorder) -> None:
     """Per-degree dimension count of 0 -> J(-b) -> S(-a) + S(-b) -> E -> 0
-    for every 2-generated class: the independent syzygy oracle."""
+    for every 2-generated class: the independent syzygy oracle.
+
+    The count is read on four degree masks over [min E - 1, a + b + 2F + 3),
+    the membership masks of S + a, S + b, E and J + b: bit d - (min E - 1)
+    of ``sa``, ``sb``, ``em`` and ``jb`` says whether d - a is in S, d - b
+    is in S, d is in E and d - b is in J.  Two bit sums x + y and u + v
+    agree exactly when x ^ y = u ^ v and x & y = u & v, so the lowest bit
+    of (sa ^ sb ^ em ^ jb) | ((sa & sb) ^ (em & jb)) is the first degree
+    where the counts differ, the witness (d, lhs, rhs).
+    """
     s = ctx.s
+    smask, width = s._mask, ctx.width
     for i, j, _ in ctx.syzygies:
         e = ctx.classes[i]
         a, b = ctx.mingens[i]
+        lo, hi = e.min - 1, a + b + 2 * s.frobenius + 3
+        sa = _membership(a, smask, width, lo, hi)
+        sb = _membership(b, smask, width, lo, hi)
+        em = _membership(e.min, e._mask, width, lo, hi)
+        jb = _membership(b + j.min, j._mask, width, lo, hi)
+        diff = (sa ^ sb ^ em ^ jb) | ((sa & sb) ^ (em & jb))
         bad = ()
-        for d in range(e.min - 1, a + b + 2 * s.frobenius + 3):
-            lhs = int(s.contains(d - a)) + int(s.contains(d - b))
-            rhs = int(e.contains(d)) + int(j.contains(d - b))
-            if lhs != rhs:
-                bad = (d, lhs, rhs)
-                break
+        if diff:
+            k = (diff & -diff).bit_length() - 1
+            bad = (lo + k, (sa >> k & 1) + (sb >> k & 1), (em >> k & 1) + (jb >> k & 1))
         rec.check(not bad, "syzygyExactness:per-degree", (e, j), "degree {}: {} != {}", *bad)
 
 
@@ -303,8 +316,9 @@ def suite_trace_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         )
         rec.check(shifted_ok, "traceFacts:translation-invariant", (e,), "tr={}", tr)
         rec.check(is_subset(tr, ctx.unit), "traceFacts:inside-ring", (e,), "tr={}", tr)
+    # a trace with members below 0 fails inside-ring; its mask drops them
     nbits = 2 * width + 1
-    absolute = [tr.extended_mask(nbits - tr.min) << tr.min for tr in traces]
+    absolute = [_membership(tr.min, tr._mask, width, 0, nbits) for tr in traces]
     for ei, sums_row in enumerate(ctx.sums):
         outside_e = ~absolute[ei]
         for hi, eh in enumerate(sums_row):

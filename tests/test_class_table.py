@@ -28,6 +28,7 @@ from nslab import (
     duality_closure_shadow,
     enumerate_ideal_classes,
     enumerate_up_to_genus,
+    format_ideal,
     is_subset,
     is_ulrich,
     n_fold_sum,
@@ -437,6 +438,21 @@ def _reference_hom_stability(ctx, rec):
             )
 
 
+def _reference_syzygy_exactness(ctx, rec):
+    s = ctx.s
+    for i, j, _ in ctx.syzygies:
+        e = ctx.classes[i]
+        a, b = ctx.mingens[i]
+        bad = ()
+        for d in range(e.min - 1, a + b + 2 * s.frobenius + 3):
+            lhs = int(s.contains(d - a)) + int(s.contains(d - b))
+            rhs = int(e.contains(d)) + int(j.contains(d - b))
+            if lhs != rhs:
+                bad = (d, lhs, rhs)
+                break
+        rec.check(not bad, "syzygyExactness:per-degree", (e, j), "degree {}: {} != {}", *bad)
+
+
 def _of_check(witnesses, check_id):
     return [w for w in witnesses if w.check == check_id]
 
@@ -493,6 +509,61 @@ def test_corrupted_table_gives_reference_witnesses(table):
         rec = Recorder(semigroup=str(s))
         reference(ctx, rec)
         assert rec.violations, (table, reference.__name__)
+
+
+def _syzygy_corruptions(ctx):
+    """(name, classes, syzygies) for each corruption of the syzygies of
+    ctx, or of a class and its syzygy together."""
+    s, syz, gens = ctx.s, ctx.syzygies, ctx.mingens
+    for x in (-2 * s.frobenius - 9, -3, -1, 1, 4):
+        yield f"translate {x}", ctx.classes, [(i, translate(j, x), w) for i, j, w in syz]
+    # J - b starting k degrees below min E - 1, the bottom of the degree range
+    for k in (1, 2):
+        yield f"below {k}", ctx.classes, [
+            (i, translate(j, ctx.classes[i].min - 1 - k - gens[i][1] - j.min), w) for i, j, w in syz
+        ]
+    yield "swap", ctx.classes, [(i, j, w) for (i, _, w), (_, j, _) in zip(syz, syz[1:] + syz[:1])]
+    # E and J moved up past frobenius + b: both generator counts read 1 and
+    # both module counts 0 at the first degree, a mismatch of two
+    classes, moved = list(ctx.classes), []
+    for i, j, w in syz:
+        x = s.frobenius + gens[i][1] + 2
+        classes[i] = translate(classes[i], x)
+        moved.append((i, translate(j, x), w))
+    yield "E and J up", tuple(classes), moved
+    yield "none", ctx.classes, syz
+
+
+def test_corrupted_syzygies_give_reference_witnesses():
+    """On each corruption the mask count reports the witnesses of the
+    per-degree loop, and every corruption shows at some semigroup of genus
+    <= 7.  "below" reads J - b by a right shift, and "E and J up" is
+    caught only with the AND of each pair compared as well as the XOR."""
+    shown = Counter()
+    for s in enumerate_up_to_genus(7):
+        ctx = SemigroupContext(s)
+        if not ctx.syzygies:
+            continue
+        for name, classes, syzygies in list(_syzygy_corruptions(ctx)):
+            ctx.classes, ctx.syzygies = classes, syzygies
+            rec = Recorder(semigroup=str(s))
+            _reference_syzygy_exactness(ctx, rec)
+            assert _violations(ctx, "syzygyExactness") == rec.violations, (str(s), name)
+            shown[name] += len(rec.violations)
+    assert shown["none"] == 0
+    assert all(shown[name] for name in shown if name != "none"), shown
+
+
+def test_trace_below_zero_fails_inside_ring():
+    """Traces moved down by one: those of the principal classes start at
+    -1, and traceFacts records them as outside the ring instead of
+    failing on a negative shift."""
+    ctx = SemigroupContext(S357)
+    principal = [i for i, (_, off) in enumerate(ctx.trace_pairs) if off == 0]
+    assert principal
+    ctx.trace_pairs = [(t, off - 1) for t, off in ctx.trace_pairs]
+    outside = _of_check(_violations(ctx, "traceFacts"), "traceFacts:inside-ring")
+    assert {w.ideals[0] for w in outside} >= {format_ideal(ctx.classes[i]) for i in principal}
 
 
 def test_k_ulrich_is_read_from_the_row_of_k():

@@ -259,13 +259,37 @@ def test_operations_match_slow_oracle():
 def test_shifted_operands_match_slow_oracle():
     shifts = (-6, -1, 2, 9)
     classes = list(enumerate_ideal_classes(S357))
+    frob = S357.frobenius
+    s_set = from_ideal(unit_ideal(S357))
+    k_set = SlowSet([x for x in range(frob + 1) if frob - x not in s_set], frob + 1)
     for e in classes:
+        for xe in shifts:
+            a = translate(e, xe)
+            slow_a = from_ideal(a)
+            dual = slow_colon(s_set, slow_a)
+            assert agrees(ring_dual(a), dual), (e, xe)
+            assert agrees(canonical_dual(a), slow_colon(k_set, slow_a)), (e, xe)
+            assert agrees(trace_ideal(a), slow_sum(slow_a, dual)), (e, xe)
         for f in classes:
             for xe in shifts:
                 for xf in shifts:
                     a, b = translate(e, xe), translate(f, xf)
                     assert agrees(sum_ideals(a, b), slow_sum(from_ideal(a), from_ideal(b)))
                     assert agrees(difference(a, b), slow_colon(from_ideal(a), from_ideal(b)))
+
+
+@pytest.mark.parametrize(
+    "parent, mask, message",
+    [
+        (NAT, 0b1, "empty window must have empty mask"),
+        (S357, 0b110, "least element must be a member"),
+        (S357, 0b1 | 1 << S357.frobenius + 1, "mask has bits outside the window"),
+    ],
+    ids=["empty-window", "least-element", "past-window"],
+)
+def test_bad_windows_are_refused(parent, mask, message):
+    with pytest.raises(ValueError, match=message):
+        RelativeIdeal(parent, 0, mask)
 
 
 def test_textual_format():

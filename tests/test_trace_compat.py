@@ -63,9 +63,13 @@ def test_traced_outputs_match_untraced(capsys):
     assert calls["suites.context_build"] == 9
     assert calls["annihilators.certify_cohomology_annihilator"] == 1
     assert tracer.counts["ideals.relative_ideals_created"] > 0
-    # each sum and colon builds one ideal, counted by the patched __post_init__
+    # each sum, colon and dual builds one ideal, counted by the patched
+    # __post_init__
     created = tracer.counts["ideals.relative_ideals_created"]
-    assert created >= calls["ideals.sum"] + calls["ideals.difference"] > 0
+    results = sum(
+        calls[f"ideals.{fn}"] for fn in ("sum", "difference", "ring_dual", "canonical_dual")
+    )
+    assert created >= results > 0
     metrics = tracer.layer_metrics()
     assert {name for name, _ in tracing.layer_metric_names()} - set(metrics) == {
         "harness.parallel_efficiency",
