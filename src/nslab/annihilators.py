@@ -35,7 +35,7 @@ with no object kernel call and no ``RelativeIdeal`` per class:
     class), then the colon rule on the trace's window by E - E's
     generators;
   * ``category_shadow``: the AND of the stable annihilators' absolute
-    masks on [0, 2w);
+    masks on [0, 2w), each read through ``_membership``;
   * ``sums`` and ``colons``: the two rules for every pair of classes,
     on every class at once, each class's mask in a lane of 64-bit words
     of one integer, read back with one ``struct.unpack``.
@@ -52,7 +52,8 @@ annihilator i is the colon of the trace's class by the class of E - E,
 shifted by the trace's least element.  ``ring_duals``, ``can_duals``,
 ``traces`` and ``stable_anns`` are views of the pair lists as
 ``RelativeIdeal`` lists, built on first read, for the suites that call
-the object kernel on them.
+the object kernel on them or write them into witness text; a suite that
+compares classes or translates compares the pairs.
 ``syzygies`` lists, for each class with two minimal generators, its
 syzygy and that syzygy's class position, and ``canred`` is read from
 ``classification``.  The certificate, ``nslab ideals`` and every
@@ -65,11 +66,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 from .semigroups import (
-    InternalError, NumericalSemigroup, _ones, _and_shifts, _or_shifts, _relocate,
+    InternalError, NumericalSemigroup, _ones, _and_shifts, _membership, _or_shifts, _relocate,
 )
 from .ideals import (
     RelativeIdeal,
@@ -269,14 +270,14 @@ class SemigroupContext:
         stable annihilator lies in S and contains the conductor, so its
         least element is at most w and every integer from 2w on is a
         member: the intersection is the AND of the absolute masks on
-        [0, 2w), moved to its least element and cut to the window."""
-        w, full, masks = self.width, self.full, self.masks
-        tail = full << w
+        [0, 2w), each read through ``_membership``, moved to its least
+        element and cut to the window."""
+        w, masks = self.width, self.masks
         acc = _ones(2 * w)
         for p, off in self.stable_ann_pairs:
-            acc &= (masks[p] | tail) << off
+            acc &= _membership(off, masks[p], w, 0, 2 * w)
         b0, mask = _relocate(acc, 2 * w)
-        return RelativeIdeal(self.s, b0, mask & full)
+        return RelativeIdeal(self.s, b0, mask & self.full)
 
     @cached_property
     def duality_closure(self) -> tuple[bool, RelativeIdeal | None]:
@@ -443,7 +444,9 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     Regular ring: the whole ring.  Symmetric (Gorenstein) and almost
     symmetric semigroups: exactly the conductor.  Anything else: the honest
     interval [conductor, maximal ideal], with the duality-closure shadow
-    recorded either way.
+    recorded either way.  Every branch fills the same five leading fields
+    from the class table, bound once in ``build``; each return names the
+    fields it sets.
     """
     ctx = SemigroupContext(s)
     cond = ctx.conductor
@@ -463,45 +466,32 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
         )
 
     inv = ctx.inv
-
-    def build(status, value=None, lower=None, upper=None, tags=()):
-        return CaCertificate(
-            semigroup=s,
-            conductor=cond,
-            category_annihilator_shadow=shadow,
-            duality_closure=closure,
-            duality_closure_witness=witness,
-            status=status,
-            value=value,
-            lower=lower,
-            upper=upper,
-            justification=tuple(tags),
-        )
+    build = partial(
+        CaCertificate, s, cond, shadow, closure, witness, value=None, lower=None, upper=None
+    )
 
     if s.is_naturals:
-        return build(STATUS_REGULAR, value=ctx.unit, tags=(TAG_REGULAR,))
+        return build(status=STATUS_REGULAR, value=ctx.unit, justification=(TAG_REGULAR,))
 
     if inv.almost_symmetric and shadow != cond:
         raise InconsistentCertificate(f"category shadow differs from conductor on <{s}>")
 
     if inv.symmetric:
         return build(
-            STATUS_GORENSTEIN,
+            status=STATUS_GORENSTEIN,
             value=cond,
-            tags=(TAG_GORENSTEIN, TAG_WANG, TAG_CONDUCTOR_STABLE_ANN),
+            justification=(TAG_GORENSTEIN, TAG_WANG, TAG_CONDUCTOR_STABLE_ANN),
         )
 
     if inv.almost_symmetric:
         return build(
-            STATUS_ALMOST_GORENSTEIN,
+            status=STATUS_ALMOST_GORENSTEIN,
             value=cond,
-            tags=(TAG_THEOREM_B, TAG_WANG, TAG_CONDUCTOR_STABLE_ANN),
+            justification=(TAG_THEOREM_B, TAG_WANG, TAG_CONDUCTOR_STABLE_ANN),
         )
 
     upper = ctx.mset
     if not is_subset(cond, upper):
         raise InconsistentCertificate(f"conductor not inside the maximal ideal on <{s}>")
-    tags = [TAG_WANG, TAG_SINGULAR_UPPER]
-    if closure:
-        tags.append(TAG_THEOREM_A_SHADOW)
-    return build(STATUS_INTERVAL, lower=cond, upper=upper, tags=tags)
+    tags = (TAG_WANG, TAG_SINGULAR_UPPER) + ((TAG_THEOREM_A_SHADOW,) if closure else ())
+    return build(status=STATUS_INTERVAL, lower=cond, upper=upper, justification=tags)

@@ -1,12 +1,13 @@
 """Suite runner and report serialization.
 
 Work is partitioned by semigroup: each worker receives a semigroup, builds
-its per-semigroup context, runs the requested suites, and returns plain
-records.  One loop collects them, from the process pool or, at one job,
-in process, and a single reducer merges them in enumeration order, so
-report content does not depend on the number of jobs; the wall time is
-the only field outside the determinism contract and is excluded from the
-JSON form.
+its per-semigroup context, runs the requested suites, and returns the
+semigroup's ``Recorder``.  One loop collects the recorders, from the
+process pool or, at one job, in process, and adds each one's witnesses
+and checks to the totals as it arrives, in enumeration order, so report
+content does not depend on the number of jobs; the wall time is the only
+field outside the determinism contract and is excluded from the JSON
+form.
 """
 
 from __future__ import annotations
@@ -68,15 +69,15 @@ def suite_names(suite: str) -> tuple[str, ...]:
     return (suite,)
 
 
-def run_on_semigroup(
-    names: tuple[str, ...], s: NumericalSemigroup
-) -> tuple[tuple[Witness, ...], tuple[Witness, ...], int]:
-    """Run the named suites on one semigroup; pure and picklable output."""
+def run_on_semigroup(names: tuple[str, ...], s: NumericalSemigroup) -> Recorder:
+    """Run the named suites on one semigroup and return its recorder: the
+    violations, the informational witnesses and the check count, plain
+    lists and an int, so a pool worker can send it back."""
     ctx = SemigroupContext(s)
     rec = Recorder(semigroup=str(s))
     for name in names:
         REGISTRY[name](ctx, rec)
-    return tuple(rec.violations), tuple(rec.informational), rec.checks
+    return rec
 
 
 def run_suite(
@@ -95,7 +96,9 @@ def run_suite(
     semigroups = list(enumerate_up_to_genus(genus_max))
 
     run = partial(run_on_semigroup, names)
-    results: list[tuple[tuple[Witness, ...], tuple[Witness, ...], int]] = []
+    violations: list[Witness] = []
+    informational: list[Witness] = []
+    checks = semigroups_checked = 0
     workers = min(jobs, len(semigroups), os.cpu_count() or 1)
     pool_cm = nullcontext()
     if workers > 1:
@@ -105,33 +108,28 @@ def run_suite(
         pool_cm = ProcessPoolExecutor(max_workers=workers)
     with pool_cm as pool:
         if pool is None:
-            outs = map(run, semigroups)
+            recs = map(run, semigroups)
         else:
             # one task per semigroup under fail_fast, so the cancel below
             # reaches every semigroup not yet queued to a worker
             chunk = 1 if fail_fast else max(1, len(semigroups) // (workers * 4))
-            outs = pool.map(run, semigroups, chunksize=chunk)
-        for out in outs:
-            results.append(out)
-            if fail_fast and out[0]:
+            recs = pool.map(run, semigroups, chunksize=chunk)
+        for rec in recs:
+            violations += rec.violations
+            informational += rec.informational
+            checks += rec.checks
+            semigroups_checked += 1
+            if fail_fast and rec.violations:
                 if pool is not None:
                     # map submitted every chunk, and leaving the block
                     # would wait for them all
                     pool.shutdown(cancel_futures=True)
                 break
 
-    violations: list[Witness] = []
-    informational: list[Witness] = []
-    checks = 0
-    for v, i, c in results:
-        violations.extend(v)
-        informational.extend(i)
-        checks += c
-
     return SuiteReport(
         suite=suite,
         genus_range=(0, genus_max),
-        semigroups_checked=len(results),
+        semigroups_checked=semigroups_checked,
         checks_executed=checks,
         violations=tuple(violations),
         informational=tuple(informational),
@@ -147,8 +145,8 @@ def replay_witness(witness: Witness) -> bool:
     if suite not in REGISTRY:
         raise UnknownSuite(f"witness check {witness.check!r} names no suite")
     s = parse_semigroup(witness.semigroup)
-    violations, informational, _ = run_on_semigroup((suite,), s)
-    return witness in violations or witness in informational
+    rec = run_on_semigroup((suite,), s)
+    return witness in rec.violations or witness in rec.informational
 
 
 def emit_report(report: SuiteReport, format: str) -> bytes:

@@ -370,7 +370,7 @@ def suite_lemma_chain(ctx: SemigroupContext, rec: Recorder) -> None:
     anns = ctx.stable_anns
     for i, _, w in ctx.syzygies:
         e, omega_e = ctx.classes[i], ctx.classes[w]
-        left = anns[ctx.pos(ctx.can_duals[w])]
+        left = anns[ctx.can_dual_pairs[w][0]]
         mid = anns[i]
         right = anns[w]
         rec.check(
@@ -387,12 +387,12 @@ def suite_lemma_chain(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_prop_syzygy_stability(ctx: SemigroupContext, rec: Recorder) -> None:
     """If the canonical dual of the syzygy is reflexive, the annihilators of
     E and its syzygy agree."""
-    anns = ctx.stable_anns
+    anns, pairs = ctx.stable_anns, ctx.stable_ann_pairs
     for i, _, w in ctx.syzygies:
         if not ctx.dual_reflexive[w]:
             continue
         rec.check(
-            anns[i] == anns[w],
+            pairs[i] == pairs[w],
             "propSyzygyStability:equal-annihilators",
             (ctx.classes[i], ctx.classes[w]),
             "ann(E)={}; ann(W)={}",
@@ -404,15 +404,14 @@ def suite_prop_syzygy_stability(ctx: SemigroupContext, rec: Recorder) -> None:
 def suite_cocohom_duality(ctx: SemigroupContext, rec: Recorder) -> None:
     """If E and its canonical dual are both reflexive their stable
     annihilators agree."""
-    anns = ctx.stable_anns
-    for i, (e, d) in enumerate(zip(ctx.classes, ctx.can_duals)):
-        di = ctx.pos(d)
+    anns, pairs = ctx.stable_anns, ctx.stable_ann_pairs
+    for i, (di, _) in enumerate(ctx.can_dual_pairs):
         if not (ctx.reflexive[i] and ctx.reflexive[di]):
             continue
         rec.check(
-            anns[i] == anns[di],
+            pairs[i] == pairs[di],
             "cocohomDuality:equal-annihilators",
-            (e, d),
+            (ctx.classes[i], ctx.can_duals[i]),
             "ann(E)={}; ann(DE)={}",
             anns[i],
             anns[di],
@@ -481,14 +480,17 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     that are modules over the blowup of I, tested on masks, not read from
     the sum table, so that it cross-checks the table.  Hom-stability
     compares it with the classes of the colons F - E over all F.  The
-    canonical powers nK are walked along the row of K from S = 0K.
+    canonical powers nK are walked along the row of K from S = 0K.  Two
+    ideals are translates exactly when they share a class, so the dual
+    and trace comparisons read class positions from the pair lists.
     """
     classes = ctx.classes
     sums, colons = ctx.sums, ctx.colons
     sums_k = sums[ctx.pos(ctx.k)]
+    ring_pairs, can_pairs, trace_pairs = ctx.ring_dual_pairs, ctx.can_dual_pairs, ctx.trace_pairs
     for i, e in enumerate(classes):
         ulrich_k = sums_k[i] == i
-        duals_match = is_translate(ctx.can_duals[i], ctx.ring_duals[i]) is not None
+        duals_match = can_pairs[i][0] == ring_pairs[i][0]
         rec.check(
             ulrich_k == duals_match,
             "ulrichFacts:dual-characterization",
@@ -505,7 +507,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         bid = difference(ctx.unit, ctx.blowups[i])
         tr = ctx.traces[i]
         equality = bid == tr
-        translate_dual = is_translate(ctx.ring_duals[i], tr) is not None
+        translate_dual = ring_pairs[i][0] == trace_pairs[i][0]
         rec.check(is_subset(bid, tr), "ulrichFacts:b-inside-trace", (e,), "b={}; tr={}", bid, tr)
         rec.check(
             equality == translate_dual,
@@ -516,23 +518,23 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             translate_dual,
         )
 
-    unit = ctx.unit
     masks, full = ctx.masks, ctx.full
-    # modules[T]: bitset of the classes E with T + E == E, the OR of E's
-    # mask shifted by T's generators, once per distinct blowup T (a
-    # normalized class); the sum table is not read, so this cross-checks it
+    # modules[t]: bitset of the classes E with T + E == E, the OR of E's
+    # mask shifted by T's generators, once per distinct blowup class t;
+    # the sum table is not read, so this cross-checks it
     modules = {}
     # colon_cols[e]: bitset of the classes of F - E over all F, read from
     # column E of the colon table
     colon_cols = [sum(1 << hi for hi in {hi for hi, _ in col}) for col in colons]
     for ii, (i, bl, sums_i) in enumerate(zip(classes, ctx.blowups, sums)):
         ulrich = sum(1 << ei for ei, hi in enumerate(sums_i) if hi == ei)
-        if bl not in modules:
-            gens = ctx.mingens[ctx.pos(bl)]
-            modules[bl] = sum(
+        t = ctx.pos(bl)
+        if t not in modules:
+            gens = ctx.mingens[t]
+            modules[t] = sum(
                 1 << ei for ei, m in enumerate(masks) if _or_shifts(m, gens) & full == m
             )
-        for ei in _bit_indices(ulrich ^ modules[bl]):
+        for ei in _bit_indices(ulrich ^ modules[t]):
             u = bool(ulrich >> ei & 1)
             rec.fail(
                 "ulrichFacts:blowup-characterization",
@@ -542,7 +544,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
                 not u,
             )
         rec.checks += len(classes)
-        if i == unit:
+        if ii == 0:
             continue  # every module is S-Ulrich; Hom-stability says nothing
         # F - E is I-Ulrich for every F exactly when E's colon column lies
         # inside the I-Ulrich classes; the first F that is not is the witness
@@ -584,7 +586,7 @@ def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     tr_k = ctx.traces[kpos]
     dual_k = ctx.ring_duals[kpos]
     rec.check(
-        (canred <= 2) == (is_translate(dual_k, tr_k) is not None),
+        (canred <= 2) == (ctx.ring_dual_pairs[kpos][0] == ctx.trace_pairs[kpos][0]),
         "canredFacts:le-2-iff-trace-is-dual",
         (ctx.k,),
         "tr(K)={}; K*={}; can.red {}",
@@ -648,7 +650,7 @@ def suite_med_shadow(ctx: SemigroupContext, rec: Recorder) -> None:
         return
     m = ctx.pos(ctx.mset)
     m_class = ctx.classes[m]
-    ann_dm = ctx.stable_anns[ctx.pos(ctx.can_duals[m])]
+    ann_dm = ctx.stable_anns[ctx.can_dual_pairs[m][0]]
     indicator = ann_dm == ctx.mset
     closure, _ = ctx.duality_closure
     if ctx.inv.almost_symmetric:

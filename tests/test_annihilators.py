@@ -143,6 +143,26 @@ def test_shadow_other_than_conductor_is_inconsistent(monkeypatch, capsys):
     assert err == "internal error: category shadow differs from conductor on <3,5,7>\n"
 
 
+def test_interval_with_duality_closure_cites_theorem_a(monkeypatch):
+    """The Interval branch adds TheoremAShadow when duality closure holds.
+    No semigroup of genus <= 9 reaches it (every Interval certificate
+    there has closure false), so closure is forced on <5,6,7>."""
+    monkeypatch.setattr(SemigroupContext, "duality_closure", property(lambda ctx: (True, None)))
+    cert = certify_cohomology_annihilator(S567)
+    assert cert.justification == ("WangConductor", "SingularUpperBound", "TheoremAShadow")
+    assert cert.to_json_dict() == {
+        "semigroup": "5,6,7",
+        "status": "Interval",
+        "justification": ["WangConductor", "SingularUpperBound", "TheoremAShadow"],
+        "duality_closure": True,
+        "duality_closure_witness": None,
+        "conductor": "[10,∞)",
+        "category_annihilator_shadow": "[10,∞)",
+        "lower": "[10,∞)",
+        "upper": "{5,6,7}∪[10,∞)",
+    }
+
+
 def test_certificate_naturals():
     cert = certify_cohomology_annihilator(NAT)
     assert cert.status == "Exact-Regular"

@@ -165,8 +165,9 @@ def test_verify_unwritable_out_exits_two(capsys, tmp_path):
             ("verify", "--suite", "theoremB", "--max-genus", "2", "--jobs", "0"),
             "error: --jobs must be at least 1, got 0\n",
         ),
+        (("info", ","), "error: no generators in ','\n"),
     ],
-    ids=["negative-genus", "negative-max-genus", "zero-jobs"],
+    ids=["negative-genus", "negative-max-genus", "zero-jobs", "no-generators"],
 )
 def test_bad_numbers_exit_two_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

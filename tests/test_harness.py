@@ -8,6 +8,7 @@ import nslab.harness as harness
 import nslab.suites as suites
 from nslab import (
     REGISTRY,
+    SuiteReport,
     UnknownSuite,
     UnsupportedFormat,
     Witness,
@@ -131,6 +132,42 @@ def test_text_and_csv_formats():
     assert csv_out.splitlines()[0] == "semigroup,check,status,details"
     with pytest.raises(UnsupportedFormat):
         emit_report(report, "xml")
+
+
+def test_report_lines_of_every_witness_kind():
+    """The text form writes one ``ideal`` line per ideal of a violation
+    and an INFO line per informational witness; the csv form writes a row
+    for each, quoting commas and doubling quotes.  Pinned byte for byte."""
+    report = SuiteReport(
+        suite="demo",
+        genus_range=(0, 3),
+        semigroups_checked=2,
+        checks_executed=7,
+        violations=(
+            Witness("3,5,7", ("{0,3}∪[5,∞)", "[0,∞)"), "demo:pair", "E={0,3}∪[5,∞); F=[0,∞)"),
+        ),
+        informational=(Witness("2,3", (), "demo:note", 'closure is "True"'),),
+        wall_time=1.25,
+    )
+    assert emit_report(report, "text") == (
+        "suite           : demo\n"
+        "genus range     : 0..3\n"
+        "semigroups      : 2\n"
+        "checks executed : 7\n"
+        "violations      : 1\n"
+        "informational   : 1\n"
+        "wall time       : 1.250s\n"
+        "VIOLATION <3,5,7> demo:pair E={0,3}∪[5,∞); F=[0,∞)\n"
+        "    ideal {0,3}∪[5,∞)\n"
+        "    ideal [0,∞)\n"
+        'INFO <2,3> demo:note closure is "True"\n'
+        "FAIL\n"
+    ).encode("utf-8")
+    assert emit_report(report, "csv") == (
+        "semigroup,check,status,details\n"
+        '"3,5,7",demo:pair,violation,"E={0,3}∪[5,∞); F=[0,∞)"\n'
+        '"2,3",demo:note,informational,"closure is ""True"""\n'
+    ).encode("utf-8")
 
 
 def _failing_suite(ctx, rec):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nslab import (
+    EmptyGenerators,
     NotTwoGenerated,
     ParentMismatch,
     RelativeIdeal,
@@ -69,6 +70,8 @@ def test_ideal_from_generators_examples():
     k_like = ideal_from_generators(S357, {0, 2})
     assert members(k_like, 9) == [0, 2, 3, 5, 6, 7, 8]
     assert ideal_from_generators(S23, {0, 1}) == normalization_ideal(S23)
+    with pytest.raises(EmptyGenerators):
+        ideal_from_generators(S357, [])
 
 
 def test_ideal_from_generators_matches_slow_union():
@@ -110,6 +113,8 @@ def test_n_fold_sum_examples():
     assert n_fold_sum(k, 2) == sum_ideals(k, k)
     assert n_fold_sum(k, 3) == sum_ideals(k, sum_ideals(k, k))
     assert members(n_fold_sum(k, 3), 6) == [0, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        n_fold_sum(k, -1)
 
 
 def test_difference_examples():
@@ -311,6 +316,8 @@ def test_textual_parse_roundtrip():
         parse_ideal(S357, "{0,1}∪[5,∞)")  # not closed under the action
     with pytest.raises(ValueError):
         parse_ideal(S357, "0,1,2")
+    with pytest.raises(ValueError, match="unterminated member list in '{1,2'"):
+        parse_ideal(S357, "{1,2")
     # a tail past lo + width: lo + S forces the integers the text leaves out
     with pytest.raises(ValueError):
         parse_ideal(S345, "{0}∪[10,∞)")

@@ -160,6 +160,8 @@ def test_membership_matches_brute_force():
 def test_construction_errors():
     with pytest.raises(EmptyGenerators):
         semigroup_from_generators([])
+    with pytest.raises(EmptyGenerators):
+        parse_semigroup(" , ")
     with pytest.raises(GcdNotOne):
         semigroup_from_generators([4, 6])
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
-"""tools/code_lines.py counts the lines that hold code."""
+"""tools/code_lines.py counts the lines that hold code, and every name a
+module of the package imports is read in that module."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -34,3 +36,36 @@ def test_counts_code_lines_only(tmp_path, capsys):
     path.write_text(SOURCE, encoding="utf-8")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["6", str(path), "6", "total"]
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names an import binds anywhere in ``source`` that no expression
+    in it reads; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+def test_unread_import_is_found():
+    source = "from __future__ import annotations\nimport os, sys\nfrom a.b import c as d, e\nd(sys)\n"
+    assert _unread_imports(source) == ["e", "os"]
+
+
+def test_package_modules_read_every_import():
+    package = Path(__file__).resolve().parents[1] / "src" / "nslab"
+    unread = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unread_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unread == {}
