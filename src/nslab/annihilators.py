@@ -65,9 +65,9 @@ directly and are kept as the reference the table is tested against.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable
 
 from .semigroups import (
     InternalError, NumericalSemigroup, _ones, _and_shifts, _membership, _or_shifts, _relocate,

@@ -55,9 +55,8 @@ combine two classes, and the mask checks of ``suites``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import lru_cache, reduce
-from typing import Iterator
 
 
 class EmptyGenerators(ValueError):
@@ -161,25 +160,6 @@ def _pseudo_frobenius(gens, mask: int, w: int) -> int:
     return _ones(w) & ~mask & _and_shifts(ext, gens)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    """Numerical invariants of a semigroup (ring-theoretic shadows included)."""
-
-    embedding_dimension: int
-    multiplicity: int
-    genus: int
-    frobenius: int
-    pseudo_frobenius: tuple[int, ...]
-    cm_type: int
-    symmetric: bool
-    almost_symmetric: bool
-    med: bool
-
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "pseudo_frobenius": list(self.pseudo_frobenius)}
-
-
-@dataclass(frozen=True, slots=True, init=False)
 class NumericalSemigroup:
     """A numerical semigroup, immutable and hashable.
 
@@ -189,17 +169,24 @@ class NumericalSemigroup:
     memo of ``_generator_offsets``: made on first use, outside ``==``,
     ``hash`` and ``repr``.
 
-    ``__init__`` is written by hand: it stores the fields through the slot
-    descriptors, which skips the ``object.__setattr__`` call per field that
-    a generated frozen ``__init__`` makes, and it validates nothing.
+    The class is written by hand, not generated by ``dataclasses``: that
+    module loads ``inspect``, ``ast`` and ``dis``, which ``nslab enumerate``
+    would import at start-up for this class alone.  ``__init__``
+    stores the fields through the slot descriptors, past the frozen
+    ``__setattr__``, and validates nothing; ``==``, ``hash`` and ``repr``
+    are those of a frozen dataclass over the first five slots (``repr``
+    showing the first four), and a write or a delete raises
+    ``dataclasses.FrozenInstanceError``.  Pickles and copies keep the memo.
     """
+
+    __slots__ = ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets")
 
     minimal_generators: tuple[int, ...]
     frobenius: int
     multiplicity: int
     genus: int
-    _mask: int = field(repr=False)
-    _offsets: dict | None = field(init=False, repr=False, compare=False)
+    _mask: int
+    _offsets: dict | None
 
     def __init__(
         self,
@@ -215,6 +202,38 @@ class NumericalSemigroup:
         _set_genus(self, genus)
         _set_mask(self, _mask)
         _set_offsets(self, None)
+
+    def _compared(self) -> tuple:
+        return (self.minimal_generators, self.frobenius, self.multiplicity, self.genus, self._mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:4])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return (*self._compared(), self._offsets)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     # -- membership ------------------------------------------------------
 
@@ -287,6 +306,8 @@ class NumericalSemigroup:
         return 2 * self.genus == self.frobenius + pfm.bit_count()
 
     def invariants(self) -> InvariantRecord:
+        from ._invariants import InvariantRecord
+
         gens = self.minimal_generators
         if self.is_naturals:
             pf: tuple[int, ...] = (-1,)
@@ -321,6 +342,15 @@ _set_multiplicity = NumericalSemigroup.multiplicity.__set__
 _set_genus = NumericalSemigroup.genus.__set__
 _set_mask = NumericalSemigroup._mask.__set__
 _set_offsets = NumericalSemigroup._offsets.__set__
+
+
+def __getattr__(name: str):
+    # InvariantRecord lives in ._invariants, loaded on first use (PEP 562)
+    if name == "InvariantRecord":
+        from ._invariants import InvariantRecord
+
+        return InvariantRecord
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _child(gens: tuple[int, ...], frob: int, m: int, mask: int, i: int) -> tuple:

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import time
 from collections import Counter
 from functools import reduce
@@ -42,6 +45,39 @@ def test_equal_semigroups_built_separately_hash_alike():
     assert len({leaf, parsed, redundant}) == 1
     other = parse_semigroup("3,4")  # Frobenius number 5, genus 3
     assert other != leaf and len({leaf, other}) == 2
+
+
+@pytest.mark.parametrize(
+    "gens, shown",
+    [
+        ((3, 5, 7), "minimal_generators=(3, 5, 7), frobenius=4, multiplicity=3, genus=3"),
+        ((4, 7, 9, 10), "minimal_generators=(4, 7, 9, 10), frobenius=6, multiplicity=4, genus=5"),
+    ],
+    ids=["3,5,7", "4,7,9,10"],
+)
+def test_value_type_repr_equality_copies_and_freeze(gens, shown):
+    """The value contract of ``NumericalSemigroup``: the repr names the four
+    public fields; ``==`` and ``hash`` read the five compared fields and
+    never the generator memo; pickles and copies keep the memo; every slot
+    refuses a write or a delete."""
+    s, twin = semigroup_from_generators(gens), semigroup_from_generators(gens)
+    assert repr(s) == f"NumericalSemigroup({shown})"
+    compared = (s.minimal_generators, s.frobenius, s.multiplicity, s.genus, s._mask)
+    s._generator_offsets(s._mask)
+    assert s._offsets and twin._offsets is None
+    assert s == twin and twin == s and hash(s) == hash(twin) == hash(compared)
+    assert s != semigroup_from_generators([2, 3]) and s != compared
+    assert s.__eq__(compared) is NotImplemented
+    copies = [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in [*copies, copy.copy(s), copy.deepcopy(s)]:
+        assert type(other) is type(s) and other == s and hash(other) == hash(s)
+        assert other._offsets == s._offsets and repr(other) == repr(s)
+    for name in ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+    assert s == twin and hash(s) == hash(compared)
 
 
 def test_naturals():

@@ -15,8 +15,8 @@ import nslab
 
 SRC = str(Path(nslab.__file__).resolve().parents[1])
 
-# Runs one command, then writes to stderr the loaded modules of nslab and
-# of concurrent, one per line.
+# Runs one command, then writes to stderr the names of the loaded modules,
+# one per line.
 _PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -26,16 +26,17 @@ if sys.argv[2:]:
 else:
     import nslab
 sys.stdout.flush()
-loaded = [m for m in sys.modules if m.split(".")[0] in ("nslab", "concurrent")]
-sys.stderr.write("\\n".join(sorted(loaded)))
+sys.stderr.write("\\n".join(sorted(sys.modules)))
 """
 
 HEAVY = {"nslab.harness", "nslab.suites", "concurrent.futures"}
 
 
-def loaded_by(*argv: str) -> set[str]:
+def modules_after(*argv: str, flags: tuple[str, ...] = ()) -> set[str]:
+    """Every module a fresh interpreter, started with ``flags``, has loaded
+    after running the command ``argv``."""
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, SRC, *argv],
+        [sys.executable, *flags, "-c", _PROBE, SRC, *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -44,12 +45,27 @@ def loaded_by(*argv: str) -> set[str]:
     return set(done.stderr.split())
 
 
+def loaded_by(*argv: str) -> set[str]:
+    """The loaded modules of nslab and of concurrent."""
+    return {m for m in modules_after(*argv) if m.split(".")[0] in ("nslab", "concurrent")}
+
+
 def test_bare_import_loads_no_submodule():
     assert loaded_by() == {"nslab"}
 
 
 def test_enumerate_loads_only_the_tree():
     assert loaded_by("enumerate", "--genus", "4") == {"nslab", "nslab.cli", "nslab.semigroups"}
+
+
+def test_enumerate_loads_no_dataclasses():
+    """The tree walk builds no ``InvariantRecord``, so ``enumerate`` pays
+    neither for ``dataclasses`` nor for the ``inspect`` it loads; without
+    ``site`` (whose ``.pth`` hooks may load ``typing``) it loads no
+    ``typing`` either."""
+    assert not modules_after("enumerate", "--genus", "4") & {"dataclasses", "inspect"}
+    bare = modules_after("enumerate", "--genus", "4", flags=("-S",))
+    assert not bare & {"dataclasses", "inspect", "typing"}
 
 
 @pytest.mark.parametrize("command", ["info", "ca", "ideals"])
