@@ -3,7 +3,7 @@
 It is a frozen dataclass in a module of its own, which ``invariants()``
 imports on its first call: ``dataclasses`` loads ``inspect`` and more, and
 ``nslab enumerate``, which never builds the record, should not pay for
-that at start-up.  ``semigroups.InvariantRecord`` resolves to this class.
+that at start-up.  ``nslab.InvariantRecord`` resolves to this class.
 """
 
 from __future__ import annotations

@@ -32,18 +32,18 @@ with no object kernel call and no ``RelativeIdeal`` per class:
   * ``trace_pairs``: the sum rule, the ring dual shifted up by each
     generator of the class;
   * ``stable_ann_pairs``: E - E by the colon rule on E's own window (a
-    class), then the colon rule on the trace's window by E - E's
-    generators;
+    class, as it holds 0), then the colon rule on the trace's window by
+    E - E's generators;
   * ``category_shadow``: the AND of the stable annihilators' absolute
     masks on [0, 2w), each read through ``_membership``;
   * ``sums`` and ``colons``: the two rules for every pair of classes,
     on every class at once, each class's mask in a lane of 64-bit words
     of one integer, read back with one ``struct.unpack``.
-``index`` is the one map from a window mask to a class: a rule's window
-that holds 0 is looked up in it directly, and any other goes through
-``_located``, the memo that relocates each new window once and keeps its
-(class position, least element) pair for the colons, the duals and the
-stable annihilators alike.
+``index`` is the one map from a window mask to a class: a sum rule's
+window is looked up in it directly, and every colon rule's window goes
+through ``_located``, the memo that relocates each new window once and
+keeps its (class position, least element) pair for the colons, the duals
+and the stable annihilators alike.
 The pair lists are entries of the n x n tables, computed one entry per
 class without building them: ring dual i is entry pos(S) of column i of
 ``colons``, ``colons[i][pos(S)]``, canonical dual i its entry pos(K),
@@ -85,9 +85,7 @@ from .ideals import (
     is_subset,
     maximal_ideal,
     minimal_generators,
-    normalization_ideal,
     trace_ideal,
-    unit_ideal,
 )
 from .rings import blowup, classify, conductor_ideal
 
@@ -161,9 +159,10 @@ class _Located(dict):
 class SemigroupContext:
     """The class table of one semigroup.
 
-    ``classes`` lists the normalized ideal classes once, S first; every
-    other per-class fact is a list read by class position, built on first
-    use from the lists before it.  An ideal in the table is a pair
+    ``classes`` lists the normalized ideal classes once, S first
+    (``unit``) and the normalization last (``nat``); every other
+    per-class fact is a list read by class position, built on first use
+    from the lists before it.  An ideal in the table is a pair
     (class position, least element), as in ``colons``; class i is
     (i, 0).  ``sums[i][j]`` is classes[i] + classes[j]; ``colons`` is a
     list of columns, one per divisor, as the colon rule builds it:
@@ -187,16 +186,16 @@ class SemigroupContext:
     def __init__(self, s: NumericalSemigroup):
         self.s = s
         self.inv = s.invariants()
-        self.unit = unit_ideal(s)
-        self.nat = normalization_ideal(s)
         self.mset = maximal_ideal(s)
         self.k = canonical_ideal(s)
         self.conductor = conductor_ideal(s)
         self.classes = enumerate_ideal_classes(s)
+        self.unit, self.nat = self.classes[0], self.classes[-1]
         self.masks = [e._mask for e in self.classes]
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.width = s.frobenius + 1
         self.full = _ones(self.width)
+        self._tail = self.full << self.width
         self._words = max(1, (2 * self.width + 63) // 64)
         self._located = _Located(self.index, self.width)
 
@@ -210,9 +209,9 @@ class SemigroupContext:
     def _dual(self, d: int, i: int) -> tuple[int, int]:
         """d - classes[i], for d the window mask of a class (S, K or any
         other, least element 0): the colon rule on d's window extended by
-        w tail bits, by classes[i]'s generators, through ``_located``."""
-        ext = d | self.full << self.width
-        return self._located[_and_shifts(ext, self.mingens[i]) & self.full]
+        w tail bits (``_tail``), by classes[i]'s generators, through
+        ``_located``."""
+        return self._located[_and_shifts(d | self._tail, self.mingens[i]) & self.full]
 
     @cached_property
     def ring_dual_pairs(self) -> list[tuple[int, int]]:
@@ -246,15 +245,14 @@ class SemigroupContext:
 
     @cached_property
     def stable_ann_pairs(self) -> list[tuple[int, int]]:
-        """tr(E) - (E - E).  E - E is the colon rule on E's own window; it
-        holds 0 and nothing below, so it is a class, read from ``index``
-        as it is.  ``_dual`` of the trace's class by it gives the stable
-        annihilator relative to the trace's least element."""
-        dual, masks, index, full = self._dual, self.masks, self.index, self.full
-        tail = full << self.width
+        """tr(E) - (E - E).  E - E is ``_dual`` of E's own class by E; it
+        holds 0, so it is a class.  ``_dual`` of the trace's class by it
+        gives the stable annihilator relative to the trace's least
+        element."""
+        dual, masks = self._dual, self.masks
         out = []
-        for m, gens, (t, off) in zip(masks, self.mingens, self.trace_pairs):
-            p, b0 = dual(masks[t], index[_and_shifts(m | tail, gens) & full])
+        for i, (t, off) in enumerate(self.trace_pairs):
+            p, b0 = dual(masks[t], dual(masks[i], i)[0])
             out.append((p, off + b0))
         return out
 
@@ -367,7 +365,7 @@ class SemigroupContext:
         (an empty window is the ray from w).  Column j is the colon rule
         by classes[j]'s generators on every lane at once, one rule per
         divisor, so the table is kept as the list of those columns."""
-        at, tail = self._located.__getitem__, self.full << self.width
+        at, tail = self._located.__getitem__, self._tail
         packed = self._pack(m | tail for m in self.masks)
         return [list(map(at, self._lanes(_and_shifts(packed, gens)))) for gens in self.mingens]
 

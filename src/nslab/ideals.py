@@ -36,10 +36,9 @@ one without building S or K.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .semigroups import (
-    NumericalSemigroup, EmptyGenerators, _ones, _bit_indices,
+    NumericalSemigroup, EmptyGenerators, _Frozen, _ones, _bit_indices,
     _and_shifts, _membership, _or_shifts, _relocate, _reverse,
 )
 
@@ -52,28 +51,32 @@ class NotTwoGenerated(ValueError):
     """The rank-one syzygy formula needs a 2-generated ideal."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RelativeIdeal:
+class RelativeIdeal(_Frozen):
     """A fractional monomial ideal E with E + S inside E.
 
     ``_mask`` stores membership of min + k for k in [0, width) where
     width = frobenius(parent) + 1; every integer >= min + width is a
     member.  Bit 0 is always set (the minimum is attained).
 
-    ``__init__`` is written by hand, as in ``NumericalSemigroup``: it
-    stores the fields through the slot descriptors and then runs
-    ``__post_init__``, the three window checks.
+    A value of the ``semigroups._Frozen`` protocol over (parent, min,
+    _mask).  ``__init__`` stores the fields through the slot descriptors
+    and then runs ``__post_init__``, the three window checks.
     """
+
+    __slots__ = ("parent", "min", "_mask")
 
     parent: NumericalSemigroup
     min: int
-    _mask: int = field(repr=False)
+    _mask: int
 
     def __init__(self, parent: NumericalSemigroup, min: int, _mask: int) -> None:
         _set_parent(self, parent)
         _set_min(self, min)
         _set_mask(self, _mask)
         self.__post_init__()
+
+    def _compared(self) -> tuple:
+        return (self.parent, self.min, self._mask)
 
     def __post_init__(self) -> None:
         mask, width = self._mask, self.parent.frobenius + 1
@@ -123,12 +126,8 @@ class RelativeIdeal:
     __contains__ = contains
 
     def members_below(self, stop: int) -> list[int]:
-        out = []
-        for k in range(min(stop - self.min, self.width)):
-            if self._mask >> k & 1:
-                out.append(self.min + k)
-        out.extend(range(max(self.min, self.tail_start), stop))
-        return out
+        window = _membership(self.min, self._mask, self.width, self.min, max(stop, self.min))
+        return [self.min + k for k in _bit_indices(window)]
 
     # -- rendering ---------------------------------------------------------
 

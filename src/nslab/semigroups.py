@@ -160,23 +160,59 @@ def _pseudo_frobenius(gens, mask: int, w: int) -> int:
     return _ones(w) & ~mask & _and_shifts(ext, gens)
 
 
-class NumericalSemigroup:
+class _Frozen:
+    """The value protocol of ``NumericalSemigroup`` and
+    ``ideals.RelativeIdeal``: frozen and slotted, ``==`` and ``hash`` over
+    the tuple ``_compared()`` (``NotImplemented`` for another class), and
+    pickles and copies that keep every slot, in ``__slots__`` order.  A
+    subclass stores its fields through the slot descriptors' setters, past
+    ``__setattr__``; a write or a delete raises
+    ``dataclasses.FrozenInstanceError``.
+
+    It is written by hand, once for both types, not generated by
+    ``dataclasses``: that module loads ``inspect``, ``ast`` and ``dis``,
+    which ``nslab enumerate`` would import at start-up, and on Python 3.11
+    the generated ``__setattr__`` of a slotted frozen dataclass raises
+    ``TypeError`` for a name that is not a field.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class NumericalSemigroup(_Frozen):
     """A numerical semigroup, immutable and hashable.
 
     ``_mask`` holds membership for [0, frobenius]; every larger integer is a
     member.  For the full semigroup of nonnegative integers the Frobenius
     number is -1 and the window is empty.  ``_offsets`` is the generator
     memo of ``_generator_offsets``: made on first use, outside ``==``,
-    ``hash`` and ``repr``.
-
-    The class is written by hand, not generated by ``dataclasses``: that
-    module loads ``inspect``, ``ast`` and ``dis``, which ``nslab enumerate``
-    would import at start-up for this class alone.  ``__init__``
-    stores the fields through the slot descriptors, past the frozen
-    ``__setattr__``, and validates nothing; ``==``, ``hash`` and ``repr``
-    are those of a frozen dataclass over the first five slots (``repr``
-    showing the first four), and a write or a delete raises
-    ``dataclasses.FrozenInstanceError``.  Pickles and copies keep the memo.
+    ``hash`` and ``repr``, kept by pickles and copies.  ``__init__``
+    validates nothing.
     """
 
     __slots__ = ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets")
@@ -206,34 +242,9 @@ class NumericalSemigroup:
     def _compared(self) -> tuple:
         return (self.minimal_generators, self.frobenius, self.multiplicity, self.genus, self._mask)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:4])
         return f"{self.__class__.__qualname__}({shown})"
-
-    def __setattr__(self, name: str, value) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __getstate__(self) -> tuple:
-        return (*self._compared(), self._offsets)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
 
     # -- membership ------------------------------------------------------
 
@@ -248,12 +259,7 @@ class NumericalSemigroup:
 
     def members_below(self, stop: int) -> list[int]:
         """All members z with 0 <= z < stop."""
-        out = []
-        for z in range(min(stop, self.frobenius + 1)):
-            if self._mask >> z & 1:
-                out.append(z)
-        out.extend(range(self.frobenius + 1, stop))
-        return out
+        return list(_bit_indices(_membership(0, self._mask, self.frobenius + 1, 0, max(stop, 0))))
 
     @property
     def gap_set(self) -> frozenset[int]:
@@ -342,15 +348,6 @@ _set_multiplicity = NumericalSemigroup.multiplicity.__set__
 _set_genus = NumericalSemigroup.genus.__set__
 _set_mask = NumericalSemigroup._mask.__set__
 _set_offsets = NumericalSemigroup._offsets.__set__
-
-
-def __getattr__(name: str):
-    # InvariantRecord lives in ._invariants, loaded on first use (PEP 562)
-    if name == "InvariantRecord":
-        from ._invariants import InvariantRecord
-
-        return InvariantRecord
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _child(gens: tuple[int, ...], frob: int, m: int, mask: int, i: int) -> tuple:
@@ -455,9 +452,6 @@ def parse_semigroup(text: str) -> NumericalSemigroup:
         gens = [int(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"bad generator list {text!r}: {exc}") from None
-    for g in gens:
-        if g <= 0:
-            raise ValueError(f"generators must be positive, got {g}")
     return semigroup_from_generators(gens)
 
 

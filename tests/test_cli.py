@@ -166,8 +166,15 @@ def test_verify_unwritable_out_exits_two(capsys, tmp_path):
             "error: --jobs must be at least 1, got 0\n",
         ),
         (("info", ","), "error: no generators in ','\n"),
+        (("info", "3,0,-1"), "error: generators must be positive, got -1\n"),
     ],
-    ids=["negative-genus", "negative-max-genus", "zero-jobs", "no-generators"],
+    ids=[
+        "negative-genus",
+        "negative-max-genus",
+        "zero-jobs",
+        "no-generators",
+        "nonpositive-generator",
+    ],
 )
 def test_bad_numbers_exit_two_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

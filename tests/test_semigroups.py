@@ -17,9 +17,11 @@ from nslab import (
     NotAMember,
     enumerate_by_genus,
     enumerate_up_to_genus,
+    ideal_from_generators,
     naturals,
     parse_semigroup,
     semigroup_from_generators,
+    translate,
 )
 
 from nslab.cli import main as cli_main
@@ -48,36 +50,67 @@ def test_equal_semigroups_built_separately_hash_alike():
 
 
 @pytest.mark.parametrize(
-    "gens, shown",
+    "gens, shown, members, ideal_shown",
     [
-        ((3, 5, 7), "minimal_generators=(3, 5, 7), frobenius=4, multiplicity=3, genus=3"),
-        ((4, 7, 9, 10), "minimal_generators=(4, 7, 9, 10), frobenius=6, multiplicity=4, genus=5"),
+        (
+            (3, 5, 7),
+            "minimal_generators=(3, 5, 7), frobenius=4, multiplicity=3, genus=3",
+            (-2, 0),
+            "{-2,0,1}∪[3,∞)",
+        ),
+        (
+            (4, 7, 9, 10),
+            "minimal_generators=(4, 7, 9, 10), frobenius=6, multiplicity=4, genus=5",
+            (-5, -1),
+            "{-5,-1}∪[2,∞)",
+        ),
     ],
     ids=["3,5,7", "4,7,9,10"],
 )
-def test_value_type_repr_equality_copies_and_freeze(gens, shown):
-    """The value contract of ``NumericalSemigroup``: the repr names the four
-    public fields; ``==`` and ``hash`` read the five compared fields and
-    never the generator memo; pickles and copies keep the memo; every slot
-    refuses a write or a delete."""
+def test_value_type_repr_equality_copies_and_freeze(gens, shown, members, ideal_shown):
+    """The value contract of ``NumericalSemigroup`` and of ``RelativeIdeal``,
+    here an ideal with its least element below 0: the exact repr; ``==``
+    and ``hash`` read the compared fields, never the generator memo, and
+    ``==`` gives ``NotImplemented`` for another class; pickles and copies
+    keep every slot, the memo included; every slot refuses a write or a
+    delete."""
     s, twin = semigroup_from_generators(gens), semigroup_from_generators(gens)
-    assert repr(s) == f"NumericalSemigroup({shown})"
-    compared = (s.minimal_generators, s.frobenius, s.multiplicity, s.genus, s._mask)
+    e, e_twin = ideal_from_generators(s, members), ideal_from_generators(twin, members)
     s._generator_offsets(s._mask)
-    assert s._offsets and twin._offsets is None
-    assert s == twin and twin == s and hash(s) == hash(twin) == hash(compared)
-    assert s != semigroup_from_generators([2, 3]) and s != compared
-    assert s.__eq__(compared) is NotImplemented
-    copies = [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-    for other in [*copies, copy.copy(s), copy.deepcopy(s)]:
-        assert type(other) is type(s) and other == s and hash(other) == hash(s)
-        assert other._offsets == s._offsets and repr(other) == repr(s)
-    for name in ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(s, name, 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(s, name)
-    assert s == twin and hash(s) == hash(compared)
+    assert s._offsets and twin._offsets is None and e.min < 0
+    assert s != semigroup_from_generators([2, 3]) and e != translate(e, 1)
+    values = [
+        (
+            s,
+            twin,
+            f"NumericalSemigroup({shown})",
+            (s.minimal_generators, s.frobenius, s.multiplicity, s.genus, s._mask),
+            ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets"),
+        ),
+        (
+            e,
+            e_twin,
+            f"RelativeIdeal(<{','.join(map(str, gens))}>, {ideal_shown})",
+            (e.parent, e.min, e._mask),
+            ("parent", "min", "_mask"),
+        ),
+    ]
+    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    for obj, obj_twin, text, compared, slots in values:
+        assert repr(obj) == text
+        assert obj == obj_twin and obj_twin == obj and hash(obj) == hash(obj_twin) == hash(compared)
+        assert obj != compared and obj.__eq__(compared) is NotImplemented
+        copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in protocols]
+        for other in [*copies, copy.copy(obj), copy.deepcopy(obj)]:
+            assert type(other) is type(obj) and other == obj and hash(other) == hash(obj)
+            assert [getattr(other, name) for name in slots] == [getattr(obj, name) for name in slots]
+            assert repr(other) == text
+        for name in slots:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert obj == obj_twin and hash(obj) == hash(compared)
 
 
 def test_naturals():
@@ -185,12 +218,25 @@ def test_two_generators_far_apart_closed_form():
 
 
 def test_membership_matches_brute_force():
-    for gens in [(3, 5, 7), (2, 3), (4, 7, 9, 10), (6, 10, 15), (5, 6, 7)]:
+    for gens in [(1,), (3, 5, 7), (2, 3), (4, 7, 9, 10), (6, 10, 15), (5, 6, 7)]:
         s = semigroup_from_generators(gens)
         hi = 3 * s.frobenius + 30
         brute = brute_members(gens, hi)
         for z in range(-3, hi):
             assert s.contains(z) == (z in brute), (gens, z)
+        # members_below at every edge of the window, the naturals' empty one too
+        for stop in (-3, 0, 1, s.frobenius, s.frobenius + 1, s.frobenius + 2, hi):
+            assert s.members_below(stop) == sorted(z for z in brute if z < stop), (gens, stop)
+        # and of the ideal generated by ``picked`` and its translates, least
+        # element below 0 included: z is a member when z - g is in S for some g
+        for picked in ((0,), (3,), (-4, 1), (-1, 2, 5)):
+            e = ideal_from_generators(s, picked)
+            for x in (-7, 0, 2):
+                t = translate(e, x)
+                want = [z for z in range(-12, hi - 10) if any(z - x - g in brute for g in picked)]
+                for stop in (-20, t.min - 1, t.min, t.min + 1, 0, t.tail_start, hi - 10):
+                    below = [z for z in want if z < stop]
+                    assert t.members_below(stop) == below, (gens, picked, x, stop)
 
 
 def test_construction_errors():

@@ -68,6 +68,19 @@ def test_enumerate_loads_no_dataclasses():
     assert not bare & {"dataclasses", "inspect", "typing"}
 
 
+def test_ideals_loads_no_dataclasses():
+    """``RelativeIdeal`` is a hand-written value type, so the ideal calculus
+    loads ``dataclasses`` (and the ``inspect`` it loads) only through the
+    record classes of the modules that need them."""
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import nslab.ideals; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, SRC], capture_output=True, text=True, timeout=120, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "nslab.ideals" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("command", ["info", "ca", "ideals"])
 def test_queries_load_neither_suites_nor_pool(command):
     loaded = loaded_by(command, "3,5,7")

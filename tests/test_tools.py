@@ -1,5 +1,6 @@
-"""tools/code_lines.py counts the lines that hold code, and every name a
-module of the package imports is read in that module."""
+"""tools/code_lines.py counts the lines that hold code, every name a
+module of the package imports is read in that module, and only the record
+modules import ``dataclasses``."""
 
 import ast
 import importlib.util
@@ -69,3 +70,29 @@ def test_package_modules_read_every_import():
         if (names := _unread_imports(path.read_text(encoding="utf-8")))
     }
     assert unread == {}
+
+
+def _module_level_imports(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports outside
+    any function or class; relative imports are left out."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            out.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_only_record_modules_import_dataclasses():
+    """``dataclasses`` loads ``inspect``, ``ast`` and ``dis``.  The modules
+    that define record classes import it; the value types of
+    ``semigroups`` and ``ideals`` do not, so the tree and the ideal
+    calculus start without it."""
+    package = Path(__file__).resolve().parents[1] / "src" / "nslab"
+    importers = {
+        path.stem
+        for path in sorted(package.glob("*.py"))
+        if "dataclasses" in _module_level_imports(path.read_text(encoding="utf-8"))
+    }
+    assert importers == {"_invariants", "rings", "annihilators", "suites", "harness"}
