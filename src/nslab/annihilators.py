@@ -41,9 +41,10 @@ with no object kernel call and no ``RelativeIdeal`` per class:
     of one integer, read back with one ``struct.unpack``.
 ``index`` is the one map from a window mask to a class: a sum rule's
 window is looked up in it directly, and every colon rule's window goes
-through ``_located``, the memo that relocates each new window once and
-keeps its (class position, least element) pair for the colons, the duals
-and the stable annihilators alike.
+through ``_located``, the memo that holds each class window as (i, 0),
+relocates each other new window once and keeps its (class position,
+least element) pair for the colons, the duals and the stable
+annihilators alike.
 The pair lists are entries of the n x n tables, computed one entry per
 class without building them: ring dual i is entry pos(S) of column i of
 ``colons``, ``colons[i][pos(S)]``, canonical dual i its entry pos(K),
@@ -145,14 +146,17 @@ def duality_closure_shadow(
 
 class _Located(dict):
     """Window mask on [0, w) -> (class position, least element) of the
-    ideal it is: ``_relocate`` and ``index``, once per new window."""
+    ideal it is.  It is built holding each class window ``masks[i]`` as
+    (i, 0), so only a window without bit 0 is missing: ``_relocate`` moves
+    it, once, to a class window, whose entry gives its class."""
 
-    def __init__(self, index: dict[int, int], width: int):
-        self.index, self.width = index, width
+    def __init__(self, masks: list[int], width: int):
+        super().__init__((m, (i, 0)) for i, m in enumerate(masks))
+        self.width = width
 
     def __missing__(self, window: int) -> tuple[int, int]:
         b0, mask = _relocate(window, self.width)
-        self[window] = pair = (self.index[mask], b0)
+        self[window] = pair = (self[mask][0], b0)
         return pair
 
 
@@ -197,7 +201,7 @@ class SemigroupContext:
         self.full = _ones(self.width)
         self._tail = self.full << self.width
         self._words = max(1, (2 * self.width + 63) // 64)
-        self._located = _Located(self.index, self.width)
+        self._located = _Located(self.masks, self.width)
 
     def pos(self, e: RelativeIdeal) -> int:
         return self.index[e._mask]
@@ -297,10 +301,8 @@ class SemigroupContext:
     @cached_property
     def mingens(self) -> list[tuple[int, ...]]:
         """Minimal generators of each class, ascending, through the
-        semigroup's generator memo, which the object kernel reads too.
-        The one class of N, with its empty window, is generated by 0."""
-        if self.width == 0:
-            return [(0,)]
+        semigroup's generator memo, which the object kernel reads too (it
+        gives the empty window of N's one class the generator 0)."""
         return list(map(self.s._generator_offsets, self.masks))
 
     # The two tables shift every class at once: ``_pack`` puts class j's

@@ -190,10 +190,9 @@ def normalization_ideal(s: NumericalSemigroup) -> RelativeIdeal:
 
 
 def maximal_ideal(s: NumericalSemigroup) -> RelativeIdeal:
-    """The set of nonzero members of S."""
-    if s.is_naturals:
-        return RelativeIdeal(s, 1, 0)
-    return _from_window(s, 0, s._mask ^ 1)
+    """The set of nonzero members of S, generated by the minimal
+    generators of S: every nonzero member is one of them plus a member."""
+    return ideal_from_generators(s, s.minimal_generators)
 
 
 # -- elementary operations ---------------------------------------------------
@@ -218,12 +217,10 @@ def is_translate(e: RelativeIdeal, f: RelativeIdeal) -> int | None:
 
 def is_subset(e: RelativeIdeal, f: RelativeIdeal) -> bool:
     _check_parents(e, f)
-    shift = e.min - f.min
-    if shift < 0:
+    if e.min < f.min:
         return False  # min(e) is attained and below f entirely
     width = e.parent.frobenius + 1
-    ext = f._mask | (_ones(shift + width) ^ _ones(width))
-    return (e._mask << shift) & ~ext == 0
+    return e._mask & ~_membership(f.min, f._mask, width, e.min, e.min + width) == 0
 
 
 def sum(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
@@ -324,8 +321,6 @@ def minimal_generators(e: RelativeIdeal) -> tuple[int, ...]:
     """E minus (E + M) where M is the maximal ideal set: a minimal
     generating set for E as a module, the offsets of its window mask in
     the semigroup's generator memo."""
-    if e.parent.is_naturals:
-        return (e.min,)
     return tuple(e.min + k for k in e.parent._generator_offsets(e._mask))
 
 

@@ -41,11 +41,12 @@ alone:
   * ``_generator_mask``, the generator rule: the members outside the
     sum of the set with the nonzero members of S;
   * ``_relocate``, the least-element step that moves a window to its
-    least member;
+    least member, which for an empty window is its first tail member;
   * ``_membership``, the membership step that reads a set on any range
     of integers;
   * ``_reverse``, the reflection k -> w - 1 - k of a window;
-  * ``_pseudo_frobenius``, the colon rule S - M read on the gaps.
+  * ``_pseudo_frobenius``, the colon rule S - M read on the gaps from
+    -1 up, so that it finds the naturals' one pseudo-Frobenius number.
 ``invariants`` and ``semigroup_from_generators`` call it, and so do the
 ideal operations of ``ideals``, the class table of
 ``annihilators.SemigroupContext``, which never builds an ideal to
@@ -113,12 +114,12 @@ def _and_shifts(ext: int, offsets) -> int:
 
 def _relocate(wmask: int, w: int) -> tuple[int, int]:
     """The least-element step: a window mask on [0, w) whose integers from
-    w on are all members, moved to its least member b0.  Returns (b0, the
-    window mask at b0); the top b0 bits of the new window are tail.  An
-    empty window is the ray from w."""
-    if wmask == 0:
-        return w, (1 << w) - 1
-    b0 = (wmask & -wmask).bit_length() - 1
+    w on are all members, moved to its least member b0, the lowest bit of
+    ``wmask | 1 << w``.  Returns (b0, the window mask at b0); the top b0
+    bits of the new window are tail.  An empty window's least member is
+    w, the first tail member, so it becomes the ray from w."""
+    least = wmask | 1 << w
+    b0 = (least & -least).bit_length() - 1
     return b0, (wmask >> b0) | ((1 << w) - (1 << (w - b0)))
 
 
@@ -150,14 +151,15 @@ def _reverse(mask: int, width: int) -> int:
 
 
 def _pseudo_frobenius(gens, mask: int, w: int) -> int:
-    """The pseudo-Frobenius kernel: the bits of the gaps g in the window
-    [0, w) of a semigroup with every g + a a member, over its minimal
-    generators ``gens`` (the colon rule, S - M on the gaps).  g + a is at
-    most w - 1 + max(gens), so the window plus that much tail answers
-    every test.  An empty window (the naturals) gives no bits: their one
-    pseudo-Frobenius number, -1, lies below it."""
-    ext = mask | (_ones(w + gens[-1]) ^ _ones(w))
-    return _ones(w) & ~mask & _and_shifts(ext, gens)
+    """The pseudo-Frobenius kernel: the gaps g in [-1, w) of a semigroup
+    with window ``mask`` over [0, w) and every g + a a member, over its
+    minimal generators ``gens`` (the colon rule, S - M on the gaps); bit k
+    stands for g = k - 1.  g + a is at most w - 1 + max(gens), so
+    ``_membership`` read up to there answers every test.  -1 is a
+    pseudo-Frobenius number only of the naturals, whose window is empty:
+    in any other semigroup -1 + multiplicity is a gap."""
+    ext = _membership(0, mask, w, -1, w + gens[-1])
+    return _ones(w + 1) & ~ext & _and_shifts(ext, gens)
 
 
 class _Frozen:
@@ -276,15 +278,19 @@ class NumericalSemigroup(_Frozen):
     def _generator_offsets(self, mask: int) -> tuple[int, ...]:
         """The minimal-generator offsets of the ideal with window ``mask``,
         ``_generator_mask`` read as ascending bit indices, computed once per
-        mask and semigroup.  The memo is one dict per semigroup object,
-        made on first use, so it lives and dies with it."""
+        mask and semigroup.  A window with no generator bit gives (0,): the
+        ideal is generated by its least element.  Only the empty window of
+        the naturals has none, since bit 0 of any other ideal window is
+        set and never lies in E + M.  The memo is one dict per semigroup
+        object, made on first use, so it lives and dies with it."""
         memo = self._offsets
         if memo is None:
             memo = {}
             _set_offsets(self, memo)
         offs = memo.get(mask)
         if offs is None:
-            offs = memo[mask] = tuple(_bit_indices(_generator_mask(mask, self.minimal_generators)))
+            bits = _generator_mask(mask, self.minimal_generators)
+            offs = memo[mask] = tuple(_bit_indices(bits)) or (0,)
         return offs
 
     # -- derived data ------------------------------------------------------
@@ -304,10 +310,7 @@ class NumericalSemigroup(_Frozen):
 
     def is_almost_symmetric(self) -> bool:
         """Nari's rule: S is almost symmetric exactly when 2 * genus =
-        frobenius + type, with the type counted by ``_pseudo_frobenius``.
-        The naturals, whose window is empty, are symmetric."""
-        if self.is_naturals:
-            return True
+        frobenius + type, with the type counted by ``_pseudo_frobenius``."""
         pfm = _pseudo_frobenius(self.minimal_generators, self._mask, self.frobenius + 1)
         return 2 * self.genus == self.frobenius + pfm.bit_count()
 
@@ -315,10 +318,8 @@ class NumericalSemigroup(_Frozen):
         from ._invariants import InvariantRecord
 
         gens = self.minimal_generators
-        if self.is_naturals:
-            pf: tuple[int, ...] = (-1,)
-        else:
-            pf = tuple(_bit_indices(_pseudo_frobenius(gens, self._mask, self.frobenius + 1)))
+        pfm = _pseudo_frobenius(gens, self._mask, self.frobenius + 1)
+        pf = tuple(k - 1 for k in _bit_indices(pfm))
         return InvariantRecord(
             embedding_dimension=len(gens),
             multiplicity=self.multiplicity,

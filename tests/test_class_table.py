@@ -260,6 +260,24 @@ def test_table_of_the_naturals():
     assert agrees(translate(ctx.classes[k], off), slow_colon(a, a))
 
 
+def test_located_holds_the_class_windows_from_the_start():
+    """``_located`` is built holding class i's window as (i, 0), so a
+    colon rule that lands on a class window needs no relocation: building
+    the stable annihilators adds only windows without bit 0, each at the
+    class and least element that ``_relocate`` gives it."""
+    from nslab.semigroups import _relocate
+
+    for s in enumerate_up_to_genus(6):
+        ctx = SemigroupContext(s)
+        located = ctx._located
+        assert located == {m: (i, 0) for i, m in enumerate(ctx.masks)}, str(s)
+        ctx.stable_ann_pairs
+        for window in located.keys() - set(ctx.masks):
+            assert not window & 1, (str(s), window)
+            b0, mask = _relocate(window, ctx.width)
+            assert located[window] == (ctx.index[mask], b0), (str(s), window)
+
+
 def test_table_reads_match_public_functions():
     """theoremB, agClosure, medShadow and the `ca` certificate read the
     table where they once called category_annihilator,

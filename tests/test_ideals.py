@@ -529,7 +529,7 @@ def test_generator_memo_is_per_semigroup():
 
 def test_generator_memo_entries_after_verify():
     """After every suite has run on a semigroup, each entry of its memo is
-    the generator mask recomputed."""
+    the generator mask recomputed, or (0,) where it has no bit."""
     from nslab import enumerate_up_to_genus
     from nslab.harness import run_on_semigroup, suite_names
     from nslab.semigroups import _bit_indices, _generator_mask
@@ -539,7 +539,20 @@ def test_generator_memo_entries_after_verify():
         run_on_semigroup(suite_names("all"), s)
         assert s._offsets, str(s)
         for mask, offsets in s._offsets.items():
-            assert offsets == tuple(_bit_indices(_generator_mask(mask, s.minimal_generators))), str(s)
+            expected = tuple(_bit_indices(_generator_mask(mask, s.minimal_generators))) or (0,)
+            assert offsets == expected, str(s)
+
+
+def test_generator_memo_of_the_naturals():
+    """N's one class, with its empty window, is generated by its least
+    element: its memo entry is (0,), read by the object kernel and the
+    class table alike."""
+    n = semigroup_from_generators([1])
+    assert n._generator_offsets(0) == (0,)
+    assert n._offsets == {0: (0,)}
+    ray = RelativeIdeal(n, 3, 0)
+    assert minimal_generators(ray) == (3,)
+    assert maximal_ideal(n) == RelativeIdeal(n, 1, 0)
 
 
 def test_value_types_pickle_freeze_and_ignore_the_memo():

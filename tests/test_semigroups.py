@@ -293,6 +293,22 @@ def test_invariants_naturals():
     assert inv.symmetric and inv.almost_symmetric and inv.med
 
 
+def test_relocate_on_every_small_window():
+    """The least-element step on every window of width <= 10 agrees with
+    the rule that treats an empty window apart, as the ray from w."""
+    from nslab.semigroups import _relocate
+
+    def two_branch(wmask, w):
+        if wmask == 0:
+            return w, (1 << w) - 1
+        b0 = (wmask & -wmask).bit_length() - 1
+        return b0, (wmask >> b0) | ((1 << w) - (1 << (w - b0)))
+
+    for w in range(11):
+        for wmask in range(1 << w):
+            assert _relocate(wmask, w) == two_branch(wmask, w), (wmask, w)
+
+
 def test_apery_examples():
     s = semigroup_from_generators([3, 5, 7])
     assert s.apery_set(3) == {0, 7, 5}
