@@ -20,10 +20,10 @@ classes, listed once, and every per-class fact (duals, traces, stable
 annihilators, minimal generators, sum and colon tables) read by class
 position.  An ideal in the table is a pair (class position, least
 element), the translate of that class to that least element.  All of
-them except the blowups come from the classes' window masks through the
-mask kernel of ``semigroups`` (``_or_shifts``, the sum rule;
-``_and_shifts``, the colon rule; ``_relocate``, the least-element step),
-with no object kernel call and no ``RelativeIdeal`` per class:
+them except the blowups and the syzygies come from the classes' window
+masks through the mask kernel of ``semigroups`` (``_or_shifts``, the sum
+rule; ``_and_shifts``, the colon rule; ``_relocate``, the least-element
+step), with no object kernel call and no ``RelativeIdeal`` per class:
   * ``mingens``: the bits of each mask outside its shifts by the
     generators of S, read through the semigroup's generator memo, which
     the object kernel reads too;
@@ -39,12 +39,13 @@ with no object kernel call and no ``RelativeIdeal`` per class:
   * ``sums`` and ``colons``: the two rules for every pair of classes,
     on every class at once, each class's mask in a lane of 64-bit words
     of one integer, read back with one ``struct.unpack``.
-``index`` is the one map from a window mask to a class: a sum rule's
-window is looked up in it directly, and every colon rule's window goes
-through ``_located``, the memo that holds each class window as (i, 0),
-relocates each other new window once and keeps its (class position,
-least element) pair for the colons, the duals and the stable
-annihilators alike.
+Two maps read a window mask back.  ``index`` gives the position of a
+class window, for ``sums``, ``trace_pairs`` and ``pos``, whose windows
+are class windows already; a position read from it is cheaper than one
+taken out of a pair.  ``_located`` gives the (class position, least
+element) pair of any window, for ``colons``, the duals and the stable
+annihilators alike: it holds each class window as (i, 0) and relocates
+each other new window once.
 The pair lists are entries of the n x n tables, computed one entry per
 class without building them: ring dual i is entry pos(S) of column i of
 ``colons``, ``colons[i][pos(S)]``, canonical dual i its entry pos(K),
@@ -56,7 +57,8 @@ shifted by the trace's least element.  ``ring_duals``, ``can_duals``,
 the object kernel on them or write them into witness text; a suite that
 compares classes or translates compares the pairs.
 ``syzygies`` lists, for each class with two minimal generators, its
-syzygy and that syzygy's class position, and ``canred`` is read from
+syzygy, which is its ring dual S - E built by the object kernel, and
+that syzygy's class position, and ``canred`` is read from
 ``classification``.  The certificate, ``nslab ideals`` and every
 verification suite read the table.
 ``category_annihilator`` and ``duality_closure_shadow`` walk the class list
@@ -75,7 +77,6 @@ from .semigroups import (
 )
 from .ideals import (
     RelativeIdeal,
-    _syzygy_raw,
     canonical_dual,
     canonical_ideal,
     difference,
@@ -86,6 +87,7 @@ from .ideals import (
     is_subset,
     maximal_ideal,
     minimal_generators,
+    ring_dual,
     trace_ideal,
 )
 from .rings import blowup, classify, conductor_ideal
@@ -382,12 +384,13 @@ class SemigroupContext:
     @cached_property
     def syzygies(self) -> list[tuple[int, RelativeIdeal, int]]:
         """``(i, J, w)`` for each class i with exactly two minimal
-        generators, ascending: J is its syzygy, not normalized, and w the
-        class position of J."""
+        generators, ascending: J is its syzygy, the ring dual S - E
+        (``ideals.syzygy_two_generated``), built by the object kernel, and
+        w the class position of J."""
         out = []
         for i, gens in enumerate(self.mingens):
             if len(gens) == 2:
-                j = _syzygy_raw(self.classes[i], gens)
+                j = ring_dual(self.classes[i])
                 out.append((i, j, self.pos(j)))
         return out
 

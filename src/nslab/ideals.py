@@ -325,24 +325,19 @@ def minimal_generators(e: RelativeIdeal) -> tuple[int, ...]:
 
 
 def syzygy_two_generated(e: RelativeIdeal) -> RelativeIdeal:
-    """First syzygy of a 2-generated ideal, normalized.
+    """First syzygy of a 2-generated ideal, normalized: the ring dual S - E.
 
     With generators a < b the kernel of S(-a) + S(-b) -> E is the rank-one
-    set {z in S : z + (b - a) in S}, shifted; only the difference b - a
-    matters up to translation.
+    set {z in S : z + (b - a) in S}, shifted.  Normalized, E is
+    S u (d + S) with d = b - a, so S - E = {z : z + S and z + d + S lie
+    in S} = {z in S : z + d in S}, that kernel set.
     """
-    return normalize(_syzygy_raw(e, minimal_generators(e)))[0]
-
-
-def _syzygy_raw(e: RelativeIdeal, gens: tuple[int, ...]) -> RelativeIdeal:
-    """The unnormalized syzygy of e, given its minimal generators."""
+    gens = minimal_generators(e)
     if len(gens) != 2:
         raise NotTwoGenerated(
             f"ideal has {len(gens)} minimal generators, need exactly 2"
         )
-    a, b = gens
-    shifted = RelativeIdeal(e.parent, -(b - a), e.parent._mask)
-    return intersect(unit_ideal(e.parent), shifted)
+    return normalize(ring_dual(e))[0]
 
 
 # -- isomorphism classes -------------------------------------------------------

@@ -19,12 +19,12 @@ from .semigroups import InternalError, NumericalSemigroup, _ones
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
-    difference,
     format_ideal,
     is_subset,
     is_translate,
     maximal_ideal,
     normalize,
+    ring_dual,
     sum as ideal_sum,
     trace_ideal,
     unit_ideal,
@@ -80,7 +80,7 @@ def blowup(e: RelativeIdeal) -> RelativeIdeal:
 
 def b_ideal(e: RelativeIdeal) -> RelativeIdeal:
     """The conductor of the ring into the blowup: S - B(E)."""
-    return difference(unit_ideal(e.parent), blowup(e))
+    return ring_dual(blowup(e))
 
 
 def is_ulrich(e: RelativeIdeal, i: RelativeIdeal) -> bool:

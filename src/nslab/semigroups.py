@@ -57,7 +57,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import accumulate
 
 
 class EmptyGenerators(ValueError):
@@ -392,8 +393,9 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     """Build the semigroup of all finite sums of ``gens`` (0 included).
 
     The input need not be a minimal generating set; minimal generators are
-    recomputed.  The closure runs once, up to the smallest times the largest
-    generator, which Brauer's bound shows is past frobenius + multiplicity.
+    recomputed.  The closure runs once, up to the smallest generator times
+    the first at which the running gcd is 1, which Brauer's bound shows is
+    past frobenius + multiplicity.
     Raises EmptyGenerators / GcdNotOne when the input cannot define a
     numerical semigroup.
     """
@@ -402,15 +404,18 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
         raise EmptyGenerators("at least one generator is required")
     if gens[0] <= 0:
         raise ValueError(f"generators must be positive, got {gens[0]}")
-    if reduce(math.gcd, gens) != 1:
+    top = next((g for g, d in zip(gens, accumulate(gens, math.gcd)) if d == 1), None)
+    if top is None:
         raise GcdNotOne(f"gcd of {gens} is not 1")
 
     mult = gens[0]
-    # Brauer's bound F <= (a1 - 1)(an - 1) - 1 for a gcd-1 set a1 < ... < an
-    # (A. Brauer, On a problem of partitions, Amer. J. Math. 64, 1942) gives
-    # frob + mult <= mult * an - an, below the cut, so one pass decides every
-    # integer the window and the minimal generators read.
-    bound = mult * gens[-1]
+    # Brauer's bound F <= (a1 - 1)(ak - 1) - 1 for a gcd-1 set a1 < ... < ak
+    # (A. Brauer, On a problem of partitions, Amer. J. Math. 64, 1942), on
+    # the shortest gcd-1 prefix, ak = top, bounds the whole set too, since
+    # adding generators only removes gaps: frob + mult <= mult * top - top,
+    # below the cut, so one pass decides every integer the window and the
+    # minimal generators read.
+    bound = mult * top
     full = _ones(bound + 1)
     mask = 1
     for g in gens:
@@ -426,11 +431,13 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     genus = (frob + 1) - window.bit_count()
     # A minimal generator is at most frob + mult, and the nonzero members
     # M satisfy M + M = the union of g + M over the input generators g,
-    # since every member of M is some g plus a member of S.
+    # since every member of M is some g plus a member of S; a g past the
+    # limit is not minimal, and g + M lies past the limit.
     limit = max(frob + mult, mult)
     nonzero = mask & _ones(limit + 1) & ~1
+    small = [g for g in gens if g <= limit]
     return NumericalSemigroup(
-        minimal_generators=tuple(_bit_indices(_generator_mask(nonzero, gens))),
+        minimal_generators=tuple(_bit_indices(_generator_mask(nonzero, small))),
         frobenius=frob,
         multiplicity=mult,
         genus=genus,

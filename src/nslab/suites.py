@@ -23,7 +23,6 @@ from .annihilators import SemigroupContext, stable_annihilator
 from .semigroups import _bit_indices, _membership, _or_shifts, enumerate_by_genus
 from .ideals import (
     canonical_dual,
-    difference,
     format_ideal,
     is_subset,
     is_translate,
@@ -271,7 +270,10 @@ def suite_biduality(ctx: SemigroupContext, rec: Recorder) -> None:
 
 def suite_syzygy_exactness(ctx: SemigroupContext, rec: Recorder) -> None:
     """Per-degree dimension count of 0 -> J(-b) -> S(-a) + S(-b) -> E -> 0
-    for every 2-generated class: the independent syzygy oracle.
+    for every 2-generated class: the independent syzygy oracle.  J is E's
+    ring dual S - E (``SemigroupContext.syzygies``): E is S u (d + S) with
+    d = b - a, as E is normalized, so S - E = {z in S : z + d in S}, the
+    kernel, and the count checks the dual against the sequence.
 
     The count is read on four degree masks over [min E - 1, a + b + 2F + 3),
     the membership masks of S + a, S + b, E and J + b: bit d - (min E - 1)
@@ -504,7 +506,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
                 ctx.dual_reflexive[i], "ulrichFacts:dual-reflexive", (e,), "DE={}", ctx.can_duals[i]
             )
 
-        bid = difference(ctx.unit, ctx.blowups[i])
+        bid = ring_dual(ctx.blowups[i])
         tr = ctx.traces[i]
         equality = bid == tr
         translate_dual = ring_pairs[i][0] == trace_pairs[i][0]

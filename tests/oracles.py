@@ -68,6 +68,22 @@ def slow_colon(a: SlowSet, b: SlowSet) -> SlowSet:
     return SlowSet(members, tail)
 
 
+def shifted(a: SlowSet, x: int) -> SlowSet:
+    """The translate x + a."""
+    return SlowSet([m + x for m in a.members], a.tail + x)
+
+
+def slow_blowup(e: SlowSet) -> SlowSet:
+    """The stable power of the normalized E (E contains 0, so nE grows)."""
+    e0 = shifted(e, -e.least)
+    power = e0
+    while True:
+        nxt = slow_sum(power, e0)
+        if nxt.same_set(power):
+            return power
+        power = nxt
+
+
 def slow_intersect(a: SlowSet, b: SlowSet) -> SlowSet:
     tail = max(a.tail, b.tail)
     members = [z for z in a.upto(tail) if z in b]

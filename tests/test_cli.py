@@ -16,6 +16,7 @@ from nslab import (
     format_ideal,
     is_reflexive,
     minimal_generators,
+    parse_semigroup,
     stable_annihilator,
     trace_ideal,
 )
@@ -41,6 +42,17 @@ def test_info(capsys):
     assert data["classification"]["almost_gorenstein"] is True
     assert data["classification"]["canonical_reduction_number"] == 2
     assert data["classification"]["canonical_trace"] == "{3}∪[5,∞)"
+
+
+@pytest.mark.parametrize("text", ["3,5,7,99999999", "3,5,7,999999999999"])
+def test_info_with_a_redundant_large_generator(capsys, text):
+    """A generator far past frobenius + multiplicity adds no member the
+    others leave out: the input is <3,5,7>, and the closure and the
+    generator check never shift by it."""
+    assert parse_semigroup(text) == parse_semigroup("3,5,7")
+    code, out, err = run_cli(capsys, "info", text)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "info", "3,5,7")[1]
 
 
 def test_info_bad_input(capsys):

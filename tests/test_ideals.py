@@ -48,6 +48,7 @@ from oracles import (
     brute_ideal_classes,
     brute_members,
     from_ideal,
+    shifted,
     slow_colon,
     slow_intersect,
     slow_sum,
@@ -211,6 +212,32 @@ def test_syzygy_examples():
 def test_syzygy_of_translate_matches():
     k = canonical_ideal(S357)
     assert syzygy_two_generated(translate(k, 7)) == syzygy_two_generated(k)
+
+
+def test_syzygy_matches_set_oracle_on_every_class():
+    """On every class of every semigroup of genus <= 8, translated by -7,
+    0 and 11: a class with minimal generators a < b (read from slow sets)
+    has the syzygy {z in S : z + (b - a) in S}, normalized, and any other
+    class is refused."""
+    from nslab import enumerate_up_to_genus
+
+    for s in enumerate_up_to_genus(8):
+        f = s.frobenius
+        s_set = from_ideal(unit_ideal(s))
+        m_set = SlowSet([z for z in s_set.upto(f + 1) if z > 0], max(f + 1, 1))
+        for e in enumerate_ideal_classes(s):
+            for x in (-7, 0, 11):
+                t = translate(e, x)
+                slow = from_ideal(t)
+                em = slow_sum(slow, m_set)
+                gens = [z for z in slow.upto(em.tail) if z not in em]
+                if len(gens) != 2:
+                    with pytest.raises(NotTwoGenerated):
+                        syzygy_two_generated(t)
+                    continue
+                d = gens[1] - gens[0]
+                kernel = SlowSet([z for z in s_set.upto(f + 1) if z + d in s_set], f + 1)
+                assert agrees(syzygy_two_generated(t), shifted(kernel, -kernel.least)), (s, t)
 
 
 def test_enumerate_ideal_classes():

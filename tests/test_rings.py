@@ -29,6 +29,8 @@ from nslab import (
 )
 from nslab.cli import main as cli_main
 
+from oracles import agrees, from_ideal, slow_blowup, slow_colon
+
 S357 = semigroup_from_generators([3, 5, 7])
 S23 = semigroup_from_generators([2, 3])
 S345 = semigroup_from_generators([3, 4, 5])
@@ -76,6 +78,19 @@ def test_b_ideal_examples():
     assert members(b_ideal(k), 8) == [3, 5, 6, 7]
     assert b_ideal(unit_ideal(S357)) == unit_ideal(S357)
     assert members(b_ideal(normalization_ideal(S357)), 9) == [5, 6, 7, 8]
+
+
+def test_b_ideal_matches_slow_colon_on_every_class():
+    """b_ideal is S - B(E), with the blowup B(E) read from slow sets as the
+    stable power of the normalized E, on every class of every semigroup
+    of genus <= 8, translated by -7, 0 and 11 (B(E) is that of the class,
+    as the stable power is taken of E normalized)."""
+    for s in enumerate_up_to_genus(8):
+        s_set = from_ideal(unit_ideal(s))
+        for e in enumerate_ideal_classes(s):
+            expected = slow_colon(s_set, slow_blowup(from_ideal(e)))
+            for x in (-7, 0, 11):
+                assert agrees(b_ideal(translate(e, x)), expected), (s, e, x)
 
 
 def test_is_ulrich_examples():
