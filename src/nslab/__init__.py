@@ -20,10 +20,9 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines; "alias=name" exports it under alias
 _PUBLIC = {
-    "semigroups": """EmptyGenerators GcdNotOne InternalError NotAMember
-        NumericalSemigroup enumerate_by_genus enumerate_up_to_genus naturals
-        parse_semigroup semigroup_from_generators""",
-    "_invariants": "InvariantRecord",
+    "semigroups": """EmptyGenerators GcdNotOne InternalError InvariantRecord
+        NotAMember NumericalSemigroup enumerate_by_genus enumerate_up_to_genus
+        naturals parse_semigroup semigroup_from_generators""",
     "ideals": """NotTwoGenerated ParentMismatch RelativeIdeal canonical_dual
         canonical_ideal difference enumerate_ideal_classes format_ideal
         ideal_from_generators intersect is_reflexive is_subset is_translate

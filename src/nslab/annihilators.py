@@ -69,11 +69,10 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .semigroups import (
-    InternalError, NumericalSemigroup, _ones, _and_shifts, _membership, _or_shifts, _relocate,
+    InternalError, NumericalSemigroup, _Frozen, _ones, _and_shifts, _membership, _or_shifts, _relocate,
 )
 from .ideals import (
     RelativeIdeal,
@@ -395,8 +394,7 @@ class SemigroupContext:
         return out
 
 
-@dataclass(frozen=True)
-class CaCertificate:
+class CaCertificate(_Frozen):
     """Certified value (or interval) for the cohomology annihilator ideal.
 
     ``status`` says which hypothesis chain applied; an Exact status always
@@ -405,16 +403,8 @@ class CaCertificate:
     (upper, valid for any singular ring here).
     """
 
-    semigroup: NumericalSemigroup
-    conductor: RelativeIdeal
-    category_annihilator_shadow: RelativeIdeal
-    duality_closure: bool
-    duality_closure_witness: RelativeIdeal | None
-    status: str
-    value: RelativeIdeal | None
-    lower: RelativeIdeal | None
-    upper: RelativeIdeal | None
-    justification: tuple[str, ...]
+    __slots__ = ("semigroup", "conductor", "category_annihilator_shadow", "duality_closure",
+                 "duality_closure_witness", "status", "value", "lower", "upper", "justification")
 
     def to_json_dict(self) -> dict:
         out: dict = {

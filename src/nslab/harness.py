@@ -16,10 +16,9 @@ import io
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 
-from .semigroups import NumericalSemigroup, enumerate_up_to_genus, parse_semigroup
+from .semigroups import NumericalSemigroup, _Frozen, enumerate_up_to_genus, parse_semigroup
 from .ideals import _dump
 from .annihilators import SemigroupContext
 from .suites import REGISTRY, Recorder, Witness
@@ -33,15 +32,9 @@ class UnsupportedFormat(ValueError):
     """The requested report format is not one of text, json, csv."""
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    genus_range: tuple[int, int]
-    semigroups_checked: int
-    checks_executed: int
-    violations: tuple[Witness, ...]
-    informational: tuple[Witness, ...]
-    wall_time: float
+class SuiteReport(_Frozen):
+    __slots__ = ("suite", "genus_range", "semigroups_checked", "checks_executed",
+                 "violations", "informational", "wall_time")
 
     @property
     def passed(self) -> bool:

@@ -13,9 +13,7 @@ with "nearly" meaning the canonical trace contains the maximal ideal and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .semigroups import InternalError, NumericalSemigroup, _ones
+from .semigroups import InternalError, NumericalSemigroup, _Frozen, _ones
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
@@ -98,20 +96,13 @@ def canonical_reduction_number(s: NumericalSemigroup) -> int:
     return _stable_power(unit_ideal(s), canonical_ideal(s), s.multiplicity)[1]
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
-    gorenstein: bool
-    almost_gorenstein: bool
-    nearly_gorenstein: bool
-    far_flung_gorenstein: bool
-    canonical_reduction_number: int
-    med: bool
-    canonical_trace: RelativeIdeal
-    conductor: RelativeIdeal
+class ClassificationRecord(_Frozen):
+    __slots__ = ("gorenstein", "almost_gorenstein", "nearly_gorenstein", "far_flung_gorenstein",
+                 "canonical_reduction_number", "med", "canonical_trace", "conductor")
 
     def to_json_dict(self) -> dict:
         return {
-            **vars(self),
+            **self._fields(),
             "canonical_trace": format_ideal(self.canonical_trace),
             "conductor": format_ideal(self.conductor),
         }

@@ -164,22 +164,48 @@ def _pseudo_frobenius(gens, mask: int, w: int) -> int:
 
 
 class _Frozen:
-    """The value protocol of ``NumericalSemigroup`` and
-    ``ideals.RelativeIdeal``: frozen and slotted, ``==`` and ``hash`` over
-    the tuple ``_compared()`` (``NotImplemented`` for another class), and
-    pickles and copies that keep every slot, in ``__slots__`` order.  A
-    subclass stores its fields through the slot descriptors' setters, past
+    """The one value protocol of the package: ``NumericalSemigroup``,
+    ``ideals.RelativeIdeal`` and every frozen record (``InvariantRecord``,
+    ``rings.ClassificationRecord``, ``annihilators.CaCertificate``,
+    ``suites.Witness``, ``harness.SuiteReport``) use it.  A value is frozen
+    and slotted; ``==`` and ``hash`` go over the tuple ``_compared()``,
+    every slot unless a type says less (``NotImplemented`` for another
+    class); pickles and copies keep every slot, in ``__slots__`` order.
+    ``__init__`` takes the slots as a generated dataclass init does, by
+    position or by name, and ``__repr__`` shows the slots whose names do
+    not start with ``_``.  A type with an ``__init__`` of its own stores
+    its fields through the slot descriptors' setters, past
     ``__setattr__``; a write or a delete raises
     ``dataclasses.FrozenInstanceError``.
 
-    It is written by hand, once for both types, not generated by
-    ``dataclasses``: that module loads ``inspect``, ``ast`` and ``dis``,
-    which ``nslab enumerate`` would import at start-up, and on Python 3.11
-    the generated ``__setattr__`` of a slotted frozen dataclass raises
-    ``TypeError`` for a name that is not a field.
+    It is written by hand, not generated by ``dataclasses``: that module
+    loads ``inspect``, ``ast`` and ``dis``, which every command would
+    import at start-up, and on Python 3.11 the generated ``__setattr__``
+    of a slotted frozen dataclass raises ``TypeError`` for a name that is
+    not a field.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        given = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
+            raise TypeError(f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}")
+        self.__setstate__(tuple(given[name] for name in names))
+
+    def _compared(self) -> tuple:
+        return self.__getstate__()
+
+    def _fields(self) -> dict:
+        """Each slot's name and value, in ``__slots__`` order."""
+        return dict(zip(self.__slots__, self.__getstate__()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if not name.startswith("_")
+        )
+        return f"{self.__class__.__qualname__}({shown})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -205,6 +231,16 @@ class _Frozen:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
+
+
+class InvariantRecord(_Frozen):
+    """Numerical invariants of a semigroup (ring-theoretic shadows included)."""
+
+    __slots__ = ("embedding_dimension", "multiplicity", "genus", "frobenius", "pseudo_frobenius",
+                 "cm_type", "symmetric", "almost_symmetric", "med")
+
+    def to_json_dict(self) -> dict:
+        return {**self._fields(), "pseudo_frobenius": list(self.pseudo_frobenius)}
 
 
 class NumericalSemigroup(_Frozen):
@@ -244,10 +280,6 @@ class NumericalSemigroup(_Frozen):
 
     def _compared(self) -> tuple:
         return (self.minimal_generators, self.frobenius, self.multiplicity, self.genus, self._mask)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:4])
-        return f"{self.__class__.__qualname__}({shown})"
 
     # -- membership ------------------------------------------------------
 
@@ -316,8 +348,6 @@ class NumericalSemigroup(_Frozen):
         return 2 * self.genus == self.frobenius + pfm.bit_count()
 
     def invariants(self) -> InvariantRecord:
-        from ._invariants import InvariantRecord
-
         gens = self.minimal_generators
         pfm = _pseudo_frobenius(gens, self._mask, self.frobenius + 1)
         pf = tuple(k - 1 for k in _bit_indices(pfm))

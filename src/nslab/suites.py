@@ -15,12 +15,11 @@ fail a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 from .annihilators import SemigroupContext, stable_annihilator
-from .semigroups import _bit_indices, _membership, _or_shifts, enumerate_by_genus
+from .semigroups import _Frozen, _bit_indices, _membership, _or_shifts, enumerate_by_genus
 from .ideals import (
     canonical_dual,
     format_ideal,
@@ -32,20 +31,15 @@ from .ideals import (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """A replayable record of one failed or informational check."""
 
-    semigroup: str
-    ideals: tuple[str, ...]
-    check: str
-    details: str
+    __slots__ = ("semigroup", "ideals", "check", "details")
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "ideals": list(self.ideals)}
+        return {**self._fields(), "ideals": list(self.ideals)}
 
 
-@dataclass
 class Recorder:
     """Counts the checks of one semigroup and records the failed ones.
 
@@ -54,10 +48,13 @@ class Recorder:
     with no ``args`` is the text as it stands, braces of ideal text
     included.  An ideal fills a field as ``format_ideal`` writes it."""
 
-    semigroup: str
-    violations: list[Witness] = field(default_factory=list)
-    informational: list[Witness] = field(default_factory=list)
-    checks: int = 0
+    __slots__ = ("semigroup", "violations", "informational", "checks")
+
+    def __init__(self, semigroup: str) -> None:
+        self.semigroup = semigroup
+        self.violations: list[Witness] = []
+        self.informational: list[Witness] = []
+        self.checks = 0
 
     def check(self, ok: bool, check_id: str, ideals=(), details="", *args) -> None:
         self.checks += 1

@@ -7,7 +7,6 @@ replaced, reports are pinned byte for byte, and each semigroup's classes
 are shown to be enumerated once per run.
 """
 
-import dataclasses
 import hashlib
 import random
 import sys
@@ -614,7 +613,9 @@ def test_canonical_power_witnesses_match_n_fold_sum():
     along the row of K reports 0K = S and 1K = K as not K-Ulrich, with the
     witnesses of the n_fold_sum loop it replaced."""
     ctx = SemigroupContext(S357)
-    ctx.classification = dataclasses.replace(ctx.classification, canonical_reduction_number=0)
+    ctx.classification = type(ctx.classification)(
+        **{**ctx.classification._fields(), "canonical_reduction_number": 0}
+    )
     rec = Recorder(semigroup=str(S357))
     for n in range(0, S357.multiplicity + 1):
         power = n_fold_sum(ctx.k, n)

@@ -15,6 +15,8 @@ from nslab import (
     EmptyGenerators,
     GcdNotOne,
     NotAMember,
+    Witness,
+    certify_cohomology_annihilator,
     enumerate_by_genus,
     enumerate_up_to_genus,
     ideal_from_generators,
@@ -25,6 +27,7 @@ from nslab import (
 )
 
 from nslab.cli import main as cli_main
+from nslab.suites import Recorder
 
 from oracles import (
     brute_gap_sets,
@@ -49,6 +52,30 @@ def test_equal_semigroups_built_separately_hash_alike():
     assert other != leaf and len({leaf, other}) == 2
 
 
+# the reprs of the records of <3,5,7>, as the frozen dataclasses printed them
+INVARIANTS_357 = (
+    "InvariantRecord(embedding_dimension=3, multiplicity=3, genus=3, frobenius=4, "
+    "pseudo_frobenius=(2, 4), cm_type=2, symmetric=False, almost_symmetric=True, med=True)"
+)
+CERTIFICATE_357 = (
+    "CaCertificate(semigroup=NumericalSemigroup(minimal_generators=(3, 5, 7), frobenius=4, "
+    "multiplicity=3, genus=3), conductor=RelativeIdeal(<3,5,7>, [5,∞)), "
+    "category_annihilator_shadow=RelativeIdeal(<3,5,7>, [5,∞)), duality_closure=True, "
+    "duality_closure_witness=None, status='Exact-AlmostGorenstein', "
+    "value=RelativeIdeal(<3,5,7>, [5,∞)), lower=None, upper=None, "
+    "justification=('TheoremB', 'WangConductor', 'ConductorStableAnnihilator'))"
+)
+WITNESS_ARGS = ("3,5,7", ("{0,3}∪[5,∞)", "[0,∞)"), "demo:pair", "E={0,3}∪[5,∞); F=[0,∞)")
+WITNESS = (
+    "Witness(semigroup='3,5,7', ideals=('{0,3}∪[5,∞)', '[0,∞)'), check='demo:pair', "
+    "details='E={0,3}∪[5,∞); F=[0,∞)')"
+)
+CERTIFICATE_FIELDS = (
+    "semigroup", "conductor", "category_annihilator_shadow", "duality_closure",
+    "duality_closure_witness", "status", "value", "lower", "upper", "justification",
+)
+
+
 @pytest.mark.parametrize(
     "gens, shown, members, ideal_shown",
     [
@@ -68,17 +95,22 @@ def test_equal_semigroups_built_separately_hash_alike():
     ids=["3,5,7", "4,7,9,10"],
 )
 def test_value_type_repr_equality_copies_and_freeze(gens, shown, members, ideal_shown):
-    """The value contract of ``NumericalSemigroup`` and of ``RelativeIdeal``,
-    here an ideal with its least element below 0: the exact repr; ``==``
-    and ``hash`` read the compared fields, never the generator memo, and
-    ``==`` gives ``NotImplemented`` for another class; pickles and copies
-    keep every slot, the memo included; every slot refuses a write or a
-    delete."""
+    """The value contract of ``NumericalSemigroup``, of ``RelativeIdeal``,
+    here an ideal with its least element below 0, and of the records of
+    <3,5,7>, built from a second semigroup object for the twin: the exact
+    repr; ``==`` and ``hash`` read the compared fields, never the
+    generator memo, and ``==`` gives ``NotImplemented`` for another class;
+    pickles and copies keep every slot, the memo included; every slot
+    refuses a write or a delete."""
     s, twin = semigroup_from_generators(gens), semigroup_from_generators(gens)
     e, e_twin = ideal_from_generators(s, members), ideal_from_generators(twin, members)
     s._generator_offsets(s._mask)
     assert s._offsets and twin._offsets is None and e.min < 0
     assert s != semigroup_from_generators([2, 3]) and e != translate(e, 1)
+    s357, s357_twin = parse_semigroup("3,5,7"), semigroup_from_generators([7, 5, 3])
+    inv = s357.invariants()
+    cert, cert_twin = certify_cohomology_annihilator(s357), certify_cohomology_annihilator(s357_twin)
+    witness = Witness(*WITNESS_ARGS)
     values = [
         (
             s,
@@ -93,6 +125,30 @@ def test_value_type_repr_equality_copies_and_freeze(gens, shown, members, ideal_
             f"RelativeIdeal(<{','.join(map(str, gens))}>, {ideal_shown})",
             (e.parent, e.min, e._mask),
             ("parent", "min", "_mask"),
+        ),
+        (
+            inv,
+            s357_twin.invariants(),
+            INVARIANTS_357,
+            (3, 3, 3, 4, (2, 4), 2, False, True, True),
+            (
+                "embedding_dimension", "multiplicity", "genus", "frobenius", "pseudo_frobenius",
+                "cm_type", "symmetric", "almost_symmetric", "med",
+            ),
+        ),
+        (
+            witness,
+            Witness(*WITNESS_ARGS[:2], check=WITNESS_ARGS[2], details=WITNESS_ARGS[3]),
+            WITNESS,
+            WITNESS_ARGS,
+            ("semigroup", "ideals", "check", "details"),
+        ),
+        (
+            cert,
+            cert_twin,
+            CERTIFICATE_357,
+            tuple(getattr(cert, name) for name in CERTIFICATE_FIELDS),
+            CERTIFICATE_FIELDS,
         ),
     ]
     protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
@@ -111,6 +167,42 @@ def test_value_type_repr_equality_copies_and_freeze(gens, shown, members, ideal_
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(obj, name)
         assert obj == obj_twin and hash(obj) == hash(compared)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (WITNESS_ARGS[:3], {}),
+        (WITNESS_ARGS[:3], {"detail": ""}),
+        (WITNESS_ARGS, {"check": "demo:pair"}),
+        ((*WITNESS_ARGS, ""), {}),
+    ],
+    ids=["missing", "unknown", "doubled", "extra"],
+)
+def test_record_init_refuses_a_bad_field_list(args, kwargs):
+    """A record takes its fields by position or by name, as a generated
+    dataclass init did: a missing, an unknown, a doubled or an extra field
+    is a ``TypeError``."""
+    with pytest.raises(TypeError, match="Witness"):
+        Witness(*args, **kwargs)
+
+
+def test_recorder_round_trips_through_pickle():
+    """A pool worker sends a semigroup's ``Recorder`` back pickled: the
+    witnesses and the check count survive."""
+    rec = Recorder("3,5,7")
+    rec.check(True, "demo:pass")
+    rec.check(False, "demo:fail", (), "n={}", 2)
+    rec.info("demo:note", (), "closure")
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rec, protocol))
+        assert type(back) is Recorder
+        assert (back.semigroup, back.violations, back.informational, back.checks) == (
+            "3,5,7",
+            [Witness("3,5,7", (), "demo:fail", "n=2")],
+            [Witness("3,5,7", (), "demo:note", "closure")],
+            3,
+        )
 
 
 def test_naturals():

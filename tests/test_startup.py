@@ -68,10 +68,28 @@ def test_enumerate_loads_no_dataclasses():
     assert not bare & {"dataclasses", "inspect", "typing"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "3,5,7"),
+        ("ca", "3,5,7"),
+        ("ideals", "3,5,7"),
+        ("verify", "--suite", "all", "--max-genus", "3", "--jobs", "1"),
+    ],
+    ids=["info", "ca", "ideals", "verify"],
+)
+def test_commands_load_no_dataclasses(argv):
+    """Every record the commands build (``InvariantRecord``,
+    ``ClassificationRecord``, ``CaCertificate``, ``Witness``,
+    ``SuiteReport``) is a ``semigroups._Frozen`` and ``Recorder`` is a
+    plain slotted class, so no command loads ``dataclasses`` or the
+    ``inspect`` it loads."""
+    assert not modules_after(*argv) & {"dataclasses", "inspect"}
+
+
 def test_ideals_loads_no_dataclasses():
     """``RelativeIdeal`` is a hand-written value type, so the ideal calculus
-    loads ``dataclasses`` (and the ``inspect`` it loads) only through the
-    record classes of the modules that need them."""
+    loads neither ``dataclasses`` nor the ``inspect`` it loads."""
     probe = "import sys; sys.path.insert(0, sys.argv[1]); import nslab.ideals; print(*sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe, SRC], capture_output=True, text=True, timeout=120, check=True

@@ -1,6 +1,6 @@
 """tools/code_lines.py counts the lines that hold code, every name a
-module of the package imports is read in that module, and only the record
-modules import ``dataclasses``."""
+module of the package imports is read in that module, and no module of
+the package imports ``dataclasses``."""
 
 import ast
 import importlib.util
@@ -84,15 +84,14 @@ def _module_level_imports(source: str) -> set[str]:
     return out
 
 
-def test_only_record_modules_import_dataclasses():
-    """``dataclasses`` loads ``inspect``, ``ast`` and ``dis``.  The modules
-    that define record classes import it; the value types of
-    ``semigroups`` and ``ideals`` do not, so the tree and the ideal
-    calculus start without it."""
+def test_no_module_imports_dataclasses():
+    """``dataclasses`` loads ``inspect``, ``ast`` and ``dis``.  Every value
+    type and record of the package is a ``semigroups._Frozen``, so no
+    module imports it at module level and no command starts with it."""
     package = Path(__file__).resolve().parents[1] / "src" / "nslab"
     importers = {
         path.stem
         for path in sorted(package.glob("*.py"))
         if "dataclasses" in _module_level_imports(path.read_text(encoding="utf-8"))
     }
-    assert importers == {"_invariants", "rings", "annihilators", "suites", "harness"}
+    assert importers == set()

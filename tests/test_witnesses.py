@@ -8,7 +8,6 @@ semigroup itself for the checks that read only it), the suites run on
 it, and the JSON of all witnesses is pinned byte for byte.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -82,18 +81,20 @@ def _blowups(ctx):
 
 
 def _not_almost_symmetric(ctx):
-    ctx.inv = dataclasses.replace(
-        ctx.inv, symmetric=not ctx.inv.symmetric, almost_symmetric=False
+    ctx.inv = type(ctx.inv)(
+        **{**ctx.inv._fields(), "symmetric": not ctx.inv.symmetric, "almost_symmetric": False}
     )
 
 
 def _reduction_number_0(ctx):
-    ctx.classification = dataclasses.replace(ctx.classification, canonical_reduction_number=0)
+    ctx.classification = type(ctx.classification)(
+        **{**ctx.classification._fields(), "canonical_reduction_number": 0}
+    )
 
 
 def _far_flung_reduction_number_7(ctx):
-    ctx.classification = dataclasses.replace(
-        ctx.classification, canonical_reduction_number=7, far_flung_gorenstein=True
+    ctx.classification = type(ctx.classification)(
+        **{**ctx.classification._fields(), "canonical_reduction_number": 7, "far_flung_gorenstein": True}
     )
 
 
