@@ -342,12 +342,15 @@ class SemigroupContext:
         g + classes[j], whose window is the OR of the shifted masks; the
         tail of each translate lies past the window.  Row i is the sum
         rule on every lane at once."""
-        return self._sum_rows(self.mingens)
+        return self._table(_or_shifts, self.masks, self.index.__getitem__, self.mingens)
 
-    def _sum_rows(self, row_gens) -> list[list[int]]:
-        """The rows of ``sums`` for the generator tuples in ``row_gens``."""
-        at, packed = self.index.__getitem__, self._pack(self.masks)
-        return [list(map(at, self._lanes(_or_shifts(packed, gens)))) for gens in row_gens]
+    def _table(self, rule, masks, lookup, row_gens) -> list[list]:
+        """One row for each generator tuple in ``row_gens``: ``masks``
+        packed once, ``rule`` (``_or_shifts`` or ``_and_shifts``) applied
+        by the tuple to every lane at once, and each lane read back
+        through ``lookup``."""
+        packed = self._pack(masks)
+        return [list(map(lookup, self._lanes(rule(packed, gens)))) for gens in row_gens]
 
     def sum_row(self, i: int) -> list[int]:
         """``sums[i]``, read from the table once it is built, so that
@@ -355,7 +358,7 @@ class SemigroupContext:
         a suite that reads one row does not build all n."""
         if "sums" in self.__dict__:
             return self.sums[i]
-        return self._sum_rows([self.mingens[i]])[0]
+        return self._table(_or_shifts, self.masks, self.index.__getitem__, [self.mingens[i]])[0]
 
     @cached_property
     def colons(self) -> list[list[tuple[int, int]]]:
@@ -368,9 +371,8 @@ class SemigroupContext:
         (an empty window is the ray from w).  Column j is the colon rule
         by classes[j]'s generators on every lane at once, one rule per
         divisor, so the table is kept as the list of those columns."""
-        at, tail = self._located.__getitem__, self._tail
-        packed = self._pack(m | tail for m in self.masks)
-        return [list(map(at, self._lanes(_and_shifts(packed, gens)))) for gens in self.mingens]
+        ext = (m | self._tail for m in self.masks)
+        return self._table(_and_shifts, ext, self._located.__getitem__, self.mingens)
 
     @cached_property
     def classification(self):

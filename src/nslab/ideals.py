@@ -116,12 +116,7 @@ class RelativeIdeal(_Frozen):
         return self.min + self.width
 
     def contains(self, z: int) -> bool:
-        k = z - self.min
-        if k < 0:
-            return False
-        if k >= self.width:
-            return True
-        return bool(self._mask >> k & 1)
+        return _membership(self.min, self._mask, self.width, z, z + 1) == 1
 
     __contains__ = contains
 
@@ -258,13 +253,11 @@ def difference(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
 def _colon(lo: int, emask: int, f: RelativeIdeal) -> RelativeIdeal:
     """E - f for the ideal E over f's semigroup with least element ``lo``
     and window mask ``emask``: the colon rule on that window extended by
-    w tail bits."""
+    its tail, the infinite ones of a negative int as in ``_membership``,
+    cut and relocated by ``_from_window``."""
     s = f.parent
-    width = s.frobenius + 1
-    full = _ones(width)
-    window = _and_shifts(emask | full << width, s._generator_offsets(f._mask)) & full
-    b0, mask = _relocate(window, width)
-    return RelativeIdeal(s, lo - f.min + b0, mask)
+    ext = emask | -1 << s.frobenius + 1
+    return _from_window(s, lo - f.min, _and_shifts(ext, s._generator_offsets(f._mask)))
 
 
 def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:

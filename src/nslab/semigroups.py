@@ -43,7 +43,8 @@ alone:
   * ``_relocate``, the least-element step that moves a window to its
     least member, which for an empty window is its first tail member;
   * ``_membership``, the membership step that reads a set on any range
-    of integers;
+    of integers, through which ``contains`` reads a semigroup or an
+    ideal;
   * ``_reverse``, the reflection k -> w - 1 - k of a window;
   * ``_pseudo_frobenius``, the colon rule S - M read on the gaps from
     -1 up, so that it finds the naturals' one pseudo-Frobenius number.
@@ -71,6 +72,16 @@ class GcdNotOne(ValueError):
 
 class NotAMember(ValueError):
     """An operation required an element of the semigroup and got a non-member."""
+
+
+class WindowTooLarge(ValueError):
+    """The closure window of a generating set, its smallest generator
+    times the first generator at which the running gcd is 1, exceeds
+    ``_WINDOW_BUDGET`` bits."""
+
+
+# 2^27 bits: 16 MB a mask, which still admits <8192, 8193>
+_WINDOW_BUDGET = 1 << 27
 
 
 class InternalError(RuntimeError):
@@ -284,11 +295,7 @@ class NumericalSemigroup(_Frozen):
     # -- membership ------------------------------------------------------
 
     def contains(self, z: int) -> bool:
-        if z < 0:
-            return False
-        if z > self.frobenius:
-            return True
-        return bool(self._mask >> z & 1)
+        return _membership(0, self._mask, self.frobenius + 1, z, z + 1) == 1
 
     __contains__ = contains
 
@@ -299,10 +306,6 @@ class NumericalSemigroup(_Frozen):
     @property
     def gap_set(self) -> frozenset[int]:
         return frozenset(_bit_indices(_ones(self.frobenius + 1) & ~self._mask))
-
-    @property
-    def embedding_dimension(self) -> int:
-        return len(self.minimal_generators)
 
     @property
     def is_naturals(self) -> bool:
@@ -427,7 +430,8 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     the first at which the running gcd is 1, which Brauer's bound shows is
     past frobenius + multiplicity.
     Raises EmptyGenerators / GcdNotOne when the input cannot define a
-    numerical semigroup.
+    numerical semigroup, and WindowTooLarge when that cut exceeds
+    ``_WINDOW_BUDGET`` bits.
     """
     gens = sorted(set(int(g) for g in gens))
     if not gens:
@@ -446,6 +450,10 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     # below the cut, so one pass decides every integer the window and the
     # minimal generators read.
     bound = mult * top
+    if bound > _WINDOW_BUDGET:
+        raise WindowTooLarge(
+            f"the closure window of {mult} * {top} = {bound} bits exceeds the budget of {_WINDOW_BUDGET}"
+        )
     full = _ones(bound + 1)
     mask = 1
     for g in gens:

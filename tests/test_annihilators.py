@@ -14,6 +14,7 @@ from nslab import (
     enumerate_ideal_classes,
     enumerate_up_to_genus,
     format_ideal,
+    ideal_from_generators,
     is_subset,
     maximal_ideal,
     minimal_generators,
@@ -141,6 +142,33 @@ def test_shadow_other_than_conductor_is_inconsistent(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: category shadow differs from conductor on <3,5,7>\n"
+
+
+def test_normalization_annihilator_other_than_conductor_is_inconsistent(monkeypatch, capsys):
+    """The stable annihilator of the normalization is the conductor; any
+    other value is an internal error, exit 3, not a violation."""
+    from nslab.cli import main as cli_main
+
+    monkeypatch.setattr("nslab.annihilators.stable_annihilator", lambda e: e)
+    assert cli_main(["ca", "3,5,7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal error: stable annihilator of the normalization differs from the "
+        "conductor on <3,5,7>\n"
+    )
+
+
+def test_conductor_outside_maximal_ideal_is_inconsistent(monkeypatch, capsys):
+    """The Interval branch checks the conductor against its upper bound,
+    the maximal ideal; an upper bound without 10 fails it on <5,6,7>."""
+    from nslab.cli import main as cli_main
+
+    monkeypatch.setattr("nslab.annihilators.maximal_ideal", lambda s: ideal_from_generators(s, [11]))
+    assert cli_main(["ca", "5,6,7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: conductor not inside the maximal ideal on <5,6,7>\n"
 
 
 def test_interval_with_duality_closure_cites_theorem_a(monkeypatch):

@@ -179,6 +179,16 @@ def test_verify_unwritable_out_exits_two(capsys, tmp_path):
         ),
         (("info", ","), "error: no generators in ','\n"),
         (("info", "3,0,-1"), "error: generators must be positive, got -1\n"),
+        (
+            ("info", "1000000,1000001"),
+            "error: the closure window of 1000000 * 1000001 = 1000001000000 bits"
+            " exceeds the budget of 134217728\n",
+        ),
+        (
+            ("info", "16384,16385"),
+            "error: the closure window of 16384 * 16385 = 268451840 bits"
+            " exceeds the budget of 134217728\n",
+        ),
     ],
     ids=[
         "negative-genus",
@@ -186,6 +196,8 @@ def test_verify_unwritable_out_exits_two(capsys, tmp_path):
         "zero-jobs",
         "no-generators",
         "nonpositive-generator",
+        "huge-frobenius",
+        "window-past-budget",
     ],
 )
 def test_bad_numbers_exit_two_with_one_error_line(capsys, argv, message):

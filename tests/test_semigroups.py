@@ -326,6 +326,8 @@ def test_membership_matches_brute_force():
             for x in (-7, 0, 2):
                 t = translate(e, x)
                 want = [z for z in range(-12, hi - 10) if any(z - x - g in brute for g in picked)]
+                for z in range(-12, hi - 10):
+                    assert t.contains(z) == (z in want), (gens, picked, x, z)
                 for stop in (-20, t.min - 1, t.min, t.min + 1, 0, t.tail_start, hi - 10):
                     below = [z for z in want if z < stop]
                     assert t.members_below(stop) == below, (gens, picked, x, stop)
