@@ -72,7 +72,7 @@ from collections.abc import Iterable
 from functools import cached_property, partial
 
 from .semigroups import (
-    InternalError, NumericalSemigroup, _Frozen, _ones, _and_shifts, _membership, _or_shifts, _relocate,
+    InternalError, NumericalSemigroup, _Record, _ones, _and_shifts, _membership, _or_shifts, _relocate,
 )
 from .ideals import (
     RelativeIdeal,
@@ -385,9 +385,10 @@ class SemigroupContext:
     @cached_property
     def syzygies(self) -> list[tuple[int, RelativeIdeal, int]]:
         """``(i, J, w)`` for each class i with exactly two minimal
-        generators, ascending: J is its syzygy, the ring dual S - E
-        (``ideals.syzygy_two_generated``), built by the object kernel, and
-        w the class position of J."""
+        generators, ascending: J is its syzygy, the ring dual S - E as
+        ``ring_dual`` builds it in the object kernel, not normalized
+        (``ideals.syzygy_two_generated`` is its normalization), and w the
+        class position of J."""
         out = []
         for i, gens in enumerate(self.mingens):
             if len(gens) == 2:
@@ -396,7 +397,7 @@ class SemigroupContext:
         return out
 
 
-class CaCertificate(_Frozen):
+class CaCertificate(_Record):
     """Certified value (or interval) for the cohomology annihilator ideal.
 
     ``status`` says which hypothesis chain applied; an Exact status always
@@ -409,26 +410,15 @@ class CaCertificate(_Frozen):
                  "duality_closure_witness", "status", "value", "lower", "upper", "justification")
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "semigroup": str(self.semigroup),
-            "status": self.status.replace("-", ""),
-            "justification": list(self.justification),
-            "duality_closure": self.duality_closure,
-            "duality_closure_witness": (
-                None
-                if self.duality_closure_witness is None
-                else format_ideal(self.duality_closure_witness)
-            ),
-            "conductor": format_ideal(self.conductor),
-            "category_annihilator_shadow": format_ideal(
-                self.category_annihilator_shadow
-            ),
-        }
+        """The record's JSON rule, with the status written without its
+        "-" and only the bounds the status uses: lower and upper for the
+        interval, the value and its generators for an Exact status."""
+        out = super().to_json_dict()
+        out["status"] = self.status.replace("-", "")
         if self.status == STATUS_INTERVAL:
-            out["lower"] = format_ideal(self.lower)
-            out["upper"] = format_ideal(self.upper)
+            del out["value"]
         else:
-            out["value"] = format_ideal(self.value)
+            del out["lower"], out["upper"]
             out["value_generators"] = list(minimal_generators(self.value))
         return out
 

@@ -18,7 +18,7 @@ import time
 from contextlib import nullcontext
 from functools import partial
 
-from .semigroups import NumericalSemigroup, _Frozen, enumerate_up_to_genus, parse_semigroup
+from .semigroups import NumericalSemigroup, _Record, enumerate_up_to_genus, parse_semigroup
 from .ideals import _dump
 from .annihilators import SemigroupContext
 from .suites import REGISTRY, Recorder, Witness
@@ -32,7 +32,7 @@ class UnsupportedFormat(ValueError):
     """The requested report format is not one of text, json, csv."""
 
 
-class SuiteReport(_Frozen):
+class SuiteReport(_Record):
     __slots__ = ("suite", "genus_range", "semigroups_checked", "checks_executed",
                  "violations", "informational", "wall_time")
 
@@ -42,14 +42,9 @@ class SuiteReport(_Frozen):
 
     def to_json_dict(self) -> dict:
         # wall_time is deliberately not serialized: reports are byte-stable.
-        return {
-            "suite": self.suite,
-            "genus_range": list(self.genus_range),
-            "semigroups_checked": self.semigroups_checked,
-            "checks_executed": self.checks_executed,
-            "violations": [w.to_json_dict() for w in self.violations],
-            "informational": [w.to_json_dict() for w in self.informational],
-        }
+        out = super().to_json_dict()
+        del out["wall_time"]
+        return out
 
 
 def suite_names(suite: str) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ with "nearly" meaning the canonical trace contains the maximal ideal and
 
 from __future__ import annotations
 
-from .semigroups import InternalError, NumericalSemigroup, _Frozen, _ones
+from .semigroups import InternalError, NumericalSemigroup, _Record, _ones
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
@@ -96,16 +96,9 @@ def canonical_reduction_number(s: NumericalSemigroup) -> int:
     return _stable_power(unit_ideal(s), canonical_ideal(s), s.multiplicity)[1]
 
 
-class ClassificationRecord(_Frozen):
+class ClassificationRecord(_Record):
     __slots__ = ("gorenstein", "almost_gorenstein", "nearly_gorenstein", "far_flung_gorenstein",
                  "canonical_reduction_number", "med", "canonical_trace", "conductor")
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self._fields(),
-            "canonical_trace": format_ideal(self.canonical_trace),
-            "conductor": format_ideal(self.conductor),
-        }
 
 
 def classify(s: NumericalSemigroup) -> ClassificationRecord:
@@ -123,9 +116,7 @@ def classify(s: NumericalSemigroup) -> ClassificationRecord:
 
     ulrich_check = is_ulrich(m, k)
     if ulrich_check != inv.almost_symmetric:
-        raise InternalBoundExceeded(
-            f"almost-symmetry test and Ulrich test disagree on <{s}>"
-        )
+        raise InternalError(f"almost-symmetry test and Ulrich test disagree on <{s}>")
 
     return ClassificationRecord(
         gorenstein=inv.symmetric,

@@ -86,8 +86,10 @@ _WINDOW_BUDGET = 1 << 27
 
 class InternalError(RuntimeError):
     """A check that a theorem guarantees failed inside the library; a bug,
-    not bad input.  ``rings.InternalBoundExceeded`` and
-    ``annihilators.InconsistentCertificate`` are the two kinds."""
+    not bad input.  ``rings.InternalBoundExceeded`` (an iteration bound
+    exceeded) and ``annihilators.InconsistentCertificate`` are its two
+    subclasses; ``rings.classify`` raises it as it stands when its
+    almost-symmetry and Ulrich tests disagree."""
 
 
 def _ones(n: int) -> int:
@@ -176,9 +178,10 @@ def _pseudo_frobenius(gens, mask: int, w: int) -> int:
 
 class _Frozen:
     """The one value protocol of the package: ``NumericalSemigroup``,
-    ``ideals.RelativeIdeal`` and every frozen record (``InvariantRecord``,
-    ``rings.ClassificationRecord``, ``annihilators.CaCertificate``,
-    ``suites.Witness``, ``harness.SuiteReport``) use it.  A value is frozen
+    ``ideals.RelativeIdeal`` and every frozen record (each a ``_Record``:
+    ``InvariantRecord``, ``rings.ClassificationRecord``,
+    ``annihilators.CaCertificate``, ``suites.Witness``,
+    ``harness.SuiteReport``) use it.  A value is frozen
     and slotted; ``==`` and ``hash`` go over the tuple ``_compared()``,
     every slot unless a type says less (``NotImplemented`` for another
     class); pickles and copies keep every slot, in ``__slots__`` order.
@@ -244,14 +247,36 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
-class InvariantRecord(_Frozen):
+class _Record(_Frozen):
+    """A frozen record with the one JSON rule of the package:
+    ``to_json_dict`` maps each slot's name to its value through ``_json``.
+    A record that writes less or more (``harness.SuiteReport``,
+    ``annihilators.CaCertificate``) starts from this dict."""
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return {name: _json(value) for name, value in self._fields().items()}
+
+
+def _json(value):
+    """The JSON form of a field: a tuple as the list of its items' forms, a
+    record as its ``to_json_dict``, a semigroup or an ideal as its text
+    (``format_ideal`` for an ideal), anything else as it stands."""
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    if isinstance(value, _Record):
+        return value.to_json_dict()
+    if isinstance(value, _Frozen):
+        return str(value)
+    return value
+
+
+class InvariantRecord(_Record):
     """Numerical invariants of a semigroup (ring-theoretic shadows included)."""
 
     __slots__ = ("embedding_dimension", "multiplicity", "genus", "frobenius", "pseudo_frobenius",
                  "cm_type", "symmetric", "almost_symmetric", "med")
-
-    def to_json_dict(self) -> dict:
-        return {**self._fields(), "pseudo_frobenius": list(self.pseudo_frobenius)}
 
 
 class NumericalSemigroup(_Frozen):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .annihilators import SemigroupContext, stable_annihilator
-from .semigroups import _Frozen, _bit_indices, _membership, _or_shifts, enumerate_by_genus
+from .semigroups import _Record, _bit_indices, _membership, _or_shifts, enumerate_by_genus
 from .ideals import (
     canonical_dual,
     format_ideal,
@@ -31,13 +31,10 @@ from .ideals import (
 )
 
 
-class Witness(_Frozen):
+class Witness(_Record):
     """A replayable record of one failed or informational check."""
 
     __slots__ = ("semigroup", "ideals", "check", "details")
-
-    def to_json_dict(self) -> dict:
-        return {**self._fields(), "ideals": list(self.ideals)}
 
 
 class Recorder:
@@ -119,7 +116,9 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     s = ctx.s
     bound = 2 * s.frobenius + 2
     members = s.members_below(bound + 1)
-    bad = next(((a, b) for a in members for b in members if not s.contains(a + b)), ())
+    # membership on [0, 2 * bound], read once by the reader ``contains`` uses
+    closed = _membership(0, s._mask, s.frobenius + 1, 0, 2 * bound + 1)
+    bad = next(((a, b) for a in members for b in members if not closed >> a + b & 1), ())
     rec.check(not bad, "semigroupFacts:additive-closure", (), "{} + {} not a member", *bad)
 
     if s.genus <= 6:

@@ -246,7 +246,7 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
     # an Ulrich test that disagrees with almost symmetry: classify's
-    # cross-check raises InternalBoundExceeded
+    # cross-check raises InternalError
     is_ulrich = rings.is_ulrich
     monkeypatch.setattr(rings, "is_ulrich", lambda e, i: not is_ulrich(e, i))
     code, out, err = run_cli(capsys, "info", "3,5,7")
@@ -305,8 +305,12 @@ def test_ideals_rows_match_json_dump_through_genus_8(capsys):
             ("ca", "9,10,11,12,13,14,15,16,17"),
             "b052f1a74eedb723ee130476983bf16c8385f8cbee5a8e8af8d11c4552019a3c",
         ),
+        (("ca", "1"), "7181e1a4a32f3706b71135cbdeafdd330cef2456818e5d264018e3c9358682a7"),
+        (("ca", "3,5,7"), "f4dfaf549d01ce194262f225718ad1e12f3bb529f8c417da22c5a59aa94c69d1"),
+        (("info", "1"), "864ed495da380ffccdcf2e44dc1a392a5dae6ed343f96ba51c3b96dadba27fcd"),
+        (("info", "3,5,7"), "733bccb29418e2c3caa7b0a119886daa42adbd6168bc630d03e6671e36e82044"),
     ],
-    ids=["ideals-7,9", "ca-7,9", "ideals-9..17", "ca-9..17"],
+    ids=["ideals-7,9", "ca-7,9", "ideals-9..17", "ca-9..17", "ca-1", "ca-3,5,7", "info-1", "info-3,5,7"],
 )
 def test_query_output_bytes_pinned(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv)

@@ -5,6 +5,7 @@ import pytest
 import nslab.rings as rings
 from nslab import (
     InternalBoundExceeded,
+    InternalError,
     b_ideal,
     blowup,
     canonical_ideal,
@@ -132,6 +133,17 @@ def test_power_chain_bound_violation_is_internal_error(capsys, monkeypatch):
         "internal error: power chain of {0,2,3}∪[5,∞) over <3,5,7> did not "
         "stabilize within 3 steps\n"
     )
+
+
+def test_classify_cross_check_is_a_plain_internal_error(monkeypatch):
+    """An Ulrich test that disagrees with almost symmetry exceeds no
+    iteration bound: classify raises ``InternalError`` itself, not its
+    ``InternalBoundExceeded`` subclass."""
+    real_is_ulrich = rings.is_ulrich
+    monkeypatch.setattr(rings, "is_ulrich", lambda e, i: not real_is_ulrich(e, i))
+    with pytest.raises(InternalError, match="disagree on <3,5,7>") as info:
+        classify(S357)
+    assert type(info.value) is InternalError
 
 
 def test_classify_357():
