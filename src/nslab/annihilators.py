@@ -25,10 +25,12 @@ masks through the mask kernel of ``semigroups`` (``_or_shifts``, the sum
 rule; ``_and_shifts``, the colon rule; ``_relocate``, the least-element
 step), with no object kernel call and no ``RelativeIdeal`` per class:
   * ``mingens``: the bits of each mask outside its shifts by the
-    generators of S, read through the semigroup's generator memo, which
-    the object kernel reads too;
+    generators of S below w, the generator rule on every lane at once,
+    each entered in the semigroup's generator memo, which the object
+    kernel reads too;
   * ``ring_dual_pairs`` and ``can_dual_pairs``: the colon rule on the
-    window of S or of K, by each class's generators, relocated;
+    window of S or of K, by each class's generators, relocated, through
+    the one list rule ``_colon_pairs``;
   * ``trace_pairs``: the sum rule, the ring dual shifted up by each
     generator of the class;
   * ``stable_ann_pairs``: E - E by the colon rule on E's own window (a
@@ -68,11 +70,13 @@ directly and are kept as the reference the table is tested against.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property, partial
+from itertools import repeat
 
 from .semigroups import (
-    InternalError, NumericalSemigroup, _Record, _ones, _and_shifts, _membership, _or_shifts, _relocate,
+    InternalError, NumericalSemigroup, _Record, _ones, _and_shifts, _generator_mask, _membership,
+    _or_shifts, _relocate,
 )
 from .ideals import (
     RelativeIdeal,
@@ -211,20 +215,22 @@ class SemigroupContext:
         """The view of a pair list as relative ideals."""
         return [RelativeIdeal(self.s, off, self.masks[p]) for p, off in pairs]
 
-    def _dual(self, d: int, i: int) -> tuple[int, int]:
-        """d - classes[i], for d the window mask of a class (S, K or any
-        other, least element 0): the colon rule on d's window extended by
-        w tail bits (``_tail``), by classes[i]'s generators, through
-        ``_located``."""
-        return self._located[_and_shifts(d | self._tail, self.mingens[i]) & self.full]
+    def _colon_pairs(self, dividends: Iterable[int], divisors: Iterable) -> Iterator[tuple[int, int]]:
+        """d - F for each window mask d of a class (S, K or any other,
+        least element 0) and the generator tuple of the class F beside
+        it: the colon rule on d's window extended by w tail bits
+        (``_tail``), by F's generators, through ``_located``; lazily, so
+        that a caller may stop early."""
+        located, full, tail = self._located, self.full, self._tail
+        return (located[_and_shifts(d | tail, gens) & full] for d, gens in zip(dividends, divisors))
 
     @cached_property
     def ring_dual_pairs(self) -> list[tuple[int, int]]:
-        return [self._dual(self.unit._mask, i) for i in range(len(self.masks))]
+        return list(self._colon_pairs(repeat(self.unit._mask), self.mingens))
 
     @cached_property
     def can_dual_pairs(self) -> list[tuple[int, int]]:
-        return [self._dual(self.k._mask, i) for i in range(len(self.masks))]
+        return list(self._colon_pairs(repeat(self.k._mask), self.mingens))
 
     @cached_property
     def trace_pairs(self) -> list[tuple[int, int]]:
@@ -250,16 +256,14 @@ class SemigroupContext:
 
     @cached_property
     def stable_ann_pairs(self) -> list[tuple[int, int]]:
-        """tr(E) - (E - E).  E - E is ``_dual`` of E's own class by E; it
-        holds 0, so it is a class.  ``_dual`` of the trace's class by it
+        """tr(E) - (E - E).  E - E is the colon of E's own class by E; it
+        holds 0, so it is a class.  The colon of the trace's class by it
         gives the stable annihilator relative to the trace's least
         element."""
-        dual, masks = self._dual, self.masks
-        out = []
-        for i, (t, off) in enumerate(self.trace_pairs):
-            p, b0 = dual(masks[t], dual(masks[i], i)[0])
-            out.append((p, off + b0))
-        return out
+        masks, mingens, traces = self.masks, self.mingens, self.trace_pairs
+        endos = self._colon_pairs(masks, mingens)
+        anns = self._colon_pairs([masks[t] for t, _ in traces], [mingens[p] for p, _ in endos])
+        return [(p, off + b0) for (p, b0), (_, off) in zip(anns, traces)]
 
     # The views, each a list[RelativeIdeal] built on first read
     ring_duals = cached_property(lambda self: self._ideals(self.ring_dual_pairs))
@@ -289,9 +293,11 @@ class SemigroupContext:
         else the first class, in enumeration order, that does not.  It
         stops at that class, so canonical duals are computed only up to
         it."""
-        kmask = self.k._mask
-        for i in range(1, len(self.classes)):
-            if self.reflexive[i] and not self.reflexive[self._dual(kmask, i)[0]]:
+        reflexive, mingens = self.reflexive, self.mingens
+        picked = [i for i in range(1, len(mingens)) if reflexive[i]]
+        duals = self._colon_pairs(repeat(self.k._mask), map(mingens.__getitem__, picked))
+        for i, (d, _) in zip(picked, duals):
+            if not reflexive[d]:
                 return False, self.classes[i]
         return True, None
 
@@ -301,18 +307,24 @@ class SemigroupContext:
 
     @cached_property
     def mingens(self) -> list[tuple[int, ...]]:
-        """Minimal generators of each class, ascending, through the
-        semigroup's generator memo, which the object kernel reads too (it
-        gives the empty window of N's one class the generator 0)."""
-        return list(map(self.s._generator_offsets, self.masks))
+        """Minimal generators of each class, ascending: the generator rule
+        on every lane at once, by the minimal generators of S below w (a
+        generator at or past w shifts every bit past its window, so it
+        removes none, and a shift below w stays inside a lane), entered in
+        the semigroup's generator memo, which the object kernel reads too
+        (it gives the empty window of N's one class the generator 0)."""
+        s, masks = self.s, self.masks
+        gens = [a for a in s.minimal_generators if a < self.width]
+        return s._memo_generators(masks, self._lanes(_generator_mask(self._pack(masks), gens)))
 
-    # The two tables shift every class at once: ``_pack`` puts class j's
-    # mask in lane j of one integer, a lane being ``_words`` = ceil(2w / 64)
-    # little-endian 64-bit words, and at least one, so that the empty
-    # window of N is a lane like any other.  A lane of 2w bits or more
-    # holds a window shifted up by less than w, or a window extended by w
-    # tail bits, so a shift by a generator offset moves no bit into the
-    # window of another lane.  ``_lanes`` reads every window back as an int.
+    # ``mingens`` and the two tables shift every class at once: ``_pack``
+    # puts class j's mask in lane j of one integer, a lane being ``_words``
+    # = ceil(2w / 64) little-endian 64-bit words, and at least one, so that
+    # the empty window of N is a lane like any other.  A lane of 2w bits or
+    # more holds a window shifted up by less than w, or a window extended
+    # by w tail bits, so a shift by a generator offset moves no bit into
+    # the window of another lane.  ``_lanes`` reads every window back as an
+    # int.
 
     def _pack(self, masks) -> int:
         size = 8 * self._words
@@ -320,7 +332,8 @@ class SemigroupContext:
 
     @cached_property
     def _lane_windows(self) -> int:
-        return self._pack([self.full] * len(self.masks))
+        """``_pack`` of the full window in every lane, one lane's bytes repeated."""
+        return int.from_bytes(self.full.to_bytes(8 * self._words, "little") * len(self.masks), "little")
 
     def _lanes(self, packed: int) -> Iterable[int]:
         """The window of every lane of ``packed``: all words unpacked in

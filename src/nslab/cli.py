@@ -105,13 +105,13 @@ def _cmd_enumerate(args) -> int:
 
 # One row of ``ideals._dump(rows)``: keys sorted, two-space indent.
 _IDEALS_ROW = """  {{
-    "ideal": {},
+    "ideal": "{}",
     "minimal_generators": [
       {}
     ],
     "reflexive": {},
-    "stable_annihilator": {},
-    "trace": {}
+    "stable_annihilator": "{}",
+    "trace": "{}"
   }}"""
 
 
@@ -120,26 +120,26 @@ def _cmd_ideals(args) -> int:
     (ideal, minimal_generators, reflexive, trace, stable_annihilator),
     filling one template per row instead of running the pure-Python
     encoder that ``indent`` selects; every class has a generator, so no
-    list is empty.  Each ideal is formatted from its (class position,
-    least element) pair in the class table, class i being (i, 0); many
-    classes share a trace or a stable annihilator, so each distinct pair
-    is formatted once."""
-    from json.encoder import encode_basestring
-    from .ideals import _format
+    list is empty, and an ideal's text holds no character that JSON
+    escapes.  Each ideal is formatted from its (class position, least
+    element) pair in the class table, class i being (i, 0): every class
+    in one ``_format_classes`` call, and each other pair once, as many
+    classes share a trace or a stable annihilator."""
+    from .ideals import _format, _format_classes
     from .annihilators import SemigroupContext
 
     ctx = SemigroupContext(parse_semigroup(args.gens))
     masks, width = ctx.masks, ctx.width
-    texts: dict[tuple[int, int], str] = {}
+    texts = {(i, 0): t for i, t in enumerate(_format_classes(masks, width))}
 
     def text(pair: tuple[int, int]) -> str:
         if pair not in texts:
-            texts[pair] = encode_basestring(_format(pair[1], masks[pair[0]], width))
+            texts[pair] = _format(pair[1], masks[pair[0]], width)
         return texts[pair]
 
     rows = [
         _IDEALS_ROW.format(
-            text((i, 0)),
+            texts[i, 0],
             ",\n      ".join(map(str, gens)),
             "true" if refl else "false",
             text(ann),

@@ -30,16 +30,18 @@ A sum, colon or dual builds one ``RelativeIdeal``, its result, and
 nothing else: ``difference``, ``ring_dual`` and ``canonical_dual`` share
 one colon core, ``_colon``, which reads the first operand as a least
 element and a window mask, so the duals take S's window or K's reflected
-one without building S or K.
+one without building S or K.  K's window is reflected once per
+semigroup object and kept beside the generator memo.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress
 
 from .semigroups import (
     NumericalSemigroup, EmptyGenerators, _Frozen, _ones, _bit_indices,
-    _and_shifts, _membership, _or_shifts, _relocate, _reverse,
+    _and_shifts, _membership, _or_shifts, _relocate, _reverse, _set_canonical,
 )
 
 
@@ -283,9 +285,13 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
 
 def _canonical_mask(s: NumericalSemigroup) -> int:
     """The window of the normalized canonical ideal: bit x of the
-    reversed gap mask is set when frobenius - x is a gap."""
-    width = s.frobenius + 1
-    return _reverse(_ones(width) & ~s._mask, width)
+    reversed gap mask is set when frobenius - x is a gap.  It is
+    reflected once per semigroup object and kept in its ``_canonical``
+    slot, as the generator memo is kept."""
+    if s._canonical is None:
+        width = s.frobenius + 1
+        _set_canonical(s, _reverse(_ones(width) & ~s._mask, width))
+    return s._canonical
 
 
 def canonical_dual(e: RelativeIdeal) -> RelativeIdeal:
@@ -397,6 +403,26 @@ def _format(lo: int, mask: int, width: int) -> str:
     bits = bin(mask)[:1:-1][:top_gap]
     head = ",".join([str(lo + k) for k, c in enumerate(bits) if c == "1"])
     return f"{{{head}}}∪[{lo + top_gap + 1},∞)"
+
+
+# bin()'s digits "0" and "1" read as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _format_classes(masks, width: int) -> list[str]:
+    """``_format(0, mask, width)`` for each class window in ``masks``: the
+    numbers below ``width`` are written once, and each head picks its
+    members from them with ``compress`` over the mask's bits below its top
+    gap.  Only for a list of classes: a single ideal would pay for a
+    string per window bit."""
+    numbers, full = [str(k) for k in range(width)], _ones(width)
+    out = []
+    for mask in masks:
+        top_gap = (full & ~mask).bit_length() - 1
+        bits = bin(mask)[:1:-1][:top_gap].encode().translate(_BIT_BYTES)
+        head = ",".join(compress(numbers, bits))
+        out.append(f"{{{head}}}∪[{top_gap + 1},∞)" if top_gap >= 0 else "[0,∞)")
+    return out
 
 
 def _dump(obj) -> str:

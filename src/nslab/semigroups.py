@@ -186,8 +186,9 @@ class _Frozen:
     every slot unless a type says less (``NotImplemented`` for another
     class); pickles and copies keep every slot, in ``__slots__`` order.
     ``__init__`` takes the slots as a generated dataclass init does, by
-    position or by name, and ``__repr__`` shows the slots whose names do
-    not start with ``_``.  A type with an ``__init__`` of its own stores
+    position or by name (a tuple of every slot by position is stored as
+    it stands, with no check), and ``__repr__`` shows the slots whose
+    names do not start with ``_``.  A type with an ``__init__`` of its own stores
     its fields through the slot descriptors' setters, past
     ``__setattr__``; a write or a delete raises
     ``dataclasses.FrozenInstanceError``.
@@ -203,10 +204,12 @@ class _Frozen:
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
-        given = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
-            raise TypeError(f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}")
-        self.__setstate__(tuple(given[name] for name in names))
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args), **kwargs)
+            if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
+                raise TypeError(f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}")
+            args = tuple(given[name] for name in names)
+        self.__setstate__(args)
 
     def _compared(self) -> tuple:
         return self.__getstate__()
@@ -285,12 +288,14 @@ class NumericalSemigroup(_Frozen):
     ``_mask`` holds membership for [0, frobenius]; every larger integer is a
     member.  For the full semigroup of nonnegative integers the Frobenius
     number is -1 and the window is empty.  ``_offsets`` is the generator
-    memo of ``_generator_offsets``: made on first use, outside ``==``,
-    ``hash`` and ``repr``, kept by pickles and copies.  ``__init__``
-    validates nothing.
+    memo of ``_generator_offsets`` and ``_canonical`` the canonical
+    ideal's window (``ideals._canonical_mask``): each made on first use,
+    outside ``==``, ``hash`` and ``repr``, kept by pickles and copies.
+    ``__init__`` validates nothing.
     """
 
-    __slots__ = ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets")
+    __slots__ = ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets",
+                 "_canonical")
 
     minimal_generators: tuple[int, ...]
     frobenius: int
@@ -298,6 +303,7 @@ class NumericalSemigroup(_Frozen):
     genus: int
     _mask: int
     _offsets: dict | None
+    _canonical: int | None
 
     def __init__(
         self,
@@ -313,6 +319,7 @@ class NumericalSemigroup(_Frozen):
         _set_genus(self, genus)
         _set_mask(self, _mask)
         _set_offsets(self, None)
+        _set_canonical(self, None)
 
     def _compared(self) -> tuple:
         return (self.minimal_generators, self.frobenius, self.multiplicity, self.genus, self._mask)
@@ -342,16 +349,19 @@ class NumericalSemigroup(_Frozen):
         mask and semigroup.  A window with no generator bit gives (0,): the
         ideal is generated by its least element.  Only the empty window of
         the naturals has none, since bit 0 of any other ideal window is
-        set and never lies in E + M.  The memo is one dict per semigroup
-        object, made on first use, so it lives and dies with it."""
-        memo = self._offsets
-        if memo is None:
-            memo = {}
-            _set_offsets(self, memo)
-        offs = memo.get(mask)
-        if offs is None:
-            bits = _generator_mask(mask, self.minimal_generators)
-            offs = memo[mask] = tuple(_bit_indices(bits)) or (0,)
+        set and never lies in E + M."""
+        offs = self._offsets and self._offsets.get(mask)
+        return offs or self._memo_generators([mask], [_generator_mask(mask, self.minimal_generators)])[0]
+
+    def _memo_generators(self, masks, bits) -> list[tuple[int, ...]]:
+        """The offsets of each window in ``masks``, read from its generator
+        mask in ``bits`` as ``_generator_offsets`` reads them, entered in
+        the memo.  The memo is one dict per semigroup object, made on
+        first use, so it lives and dies with it."""
+        if self._offsets is None:
+            _set_offsets(self, {})
+        offs = [tuple(_bit_indices(b)) or (0,) for b in bits]
+        self._offsets.update(zip(masks, offs))
         return offs
 
     # -- derived data ------------------------------------------------------
@@ -379,16 +389,11 @@ class NumericalSemigroup(_Frozen):
         gens = self.minimal_generators
         pfm = _pseudo_frobenius(gens, self._mask, self.frobenius + 1)
         pf = tuple(k - 1 for k in _bit_indices(pfm))
+        genus, frob, m = self.genus, self.frobenius, self.multiplicity
+        # every field by position, in __slots__ order: the direct path of __init__
         return InvariantRecord(
-            embedding_dimension=len(gens),
-            multiplicity=self.multiplicity,
-            genus=self.genus,
-            frobenius=self.frobenius,
-            pseudo_frobenius=pf,
-            cm_type=len(pf),
-            symmetric=2 * self.genus == self.frobenius + 1,
-            almost_symmetric=2 * self.genus == self.frobenius + len(pf),
-            med=self.multiplicity == len(gens),
+            len(gens), m, genus, frob, pf, len(pf), 2 * genus == frob + 1, 2 * genus == frob + len(pf),
+            m == len(gens),
         )
 
     # -- the semigroup tree ------------------------------------------------
@@ -408,6 +413,7 @@ _set_multiplicity = NumericalSemigroup.multiplicity.__set__
 _set_genus = NumericalSemigroup.genus.__set__
 _set_mask = NumericalSemigroup._mask.__set__
 _set_offsets = NumericalSemigroup._offsets.__set__
+_set_canonical = NumericalSemigroup._canonical.__set__
 
 
 def _child(gens: tuple[int, ...], frob: int, m: int, mask: int, i: int) -> tuple:

@@ -134,6 +134,29 @@ def test_table_sample_matches_oracles_past_genus_6(gens):
         assert ctx.mingens[i] == tuple(z for z in a.upto(em.tail) if z not in em), i
 
 
+@pytest.mark.parametrize("gens", [[3, 68, 70], [4, 37, 39]], ids=["3,68,70", "4,37,39"])
+def test_mingens_past_one_word_match_the_oracle(gens):
+    """w = 68 (552 classes) and w = 71 (1 330 classes): a lane of two and
+    of three 64-bit words, windows wider than one word.  Every class's
+    minimal generators equal the slow oracle, and reading ``mingens``
+    alone leaves each memo entry equal to the generator mask
+    recomputed."""
+    from nslab.semigroups import _bit_indices, _generator_mask
+
+    s = semigroup_from_generators(gens)
+    ctx = SemigroupContext(s)
+    assert ctx.width > 64 and s._offsets is None
+    mingens = ctx.mingens
+    assert s._offsets.keys() == set(ctx.masks)
+    for mask, offsets in s._offsets.items():
+        assert offsets == tuple(_bit_indices(_generator_mask(mask, s.minimal_generators))), mask
+    m_set = _slow_maximal(from_ideal(ctx.unit), s.frobenius)
+    for i, e in enumerate(ctx.classes):
+        a = from_ideal(e)
+        em = slow_sum(a, m_set)
+        assert mingens[i] == tuple(z for z in a.upto(em.tail) if z not in em), i
+
+
 def test_colon_table_is_built_in_one_copy():
     """The colon rule gives the table column by column, and ``colons``
     keeps those columns: building it on <9..17> (256 classes) never holds
@@ -514,6 +537,24 @@ def test_corrupted_table_gives_reference_witnesses(table):
         rec = Recorder(semigroup=str(s))
         reference(ctx, rec)
         assert rec.violations, (table, reference.__name__)
+
+
+def test_repeated_failing_image_gives_reference_witnesses():
+    """traceFacts tests each distinct image of a sums row once and walks
+    the row only on a failure: with one failing image written three
+    times into the row of N, between images that pass, it reports the
+    three witnesses of the row walk, in row order."""
+    ctx = SemigroupContext(S5_13)
+    unit, nat = ctx.pos(ctx.unit), ctx.pos(ctx.nat)
+    row = ctx.sums[nat]
+    # N + H is N for every H; tr(S) = S does not lie in tr(N), the conductor
+    for h in (1, 4, len(row) - 2):
+        row[h] = unit
+    rec = Recorder(semigroup=str(S5_13))
+    _reference_generation_monotone(ctx, rec)
+    got = _of_check(_violations(ctx, "traceFacts"), "traceFacts:generation-monotone")
+    assert got == rec.violations
+    assert [w.ideals[1] for w in got] == [format_ideal(ctx.classes[h]) for h in (1, 4, len(row) - 2)]
 
 
 def _syzygy_corruptions(ctx):

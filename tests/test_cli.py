@@ -309,10 +309,31 @@ def test_ideals_rows_match_json_dump_through_genus_8(capsys):
         (("ca", "3,5,7"), "f4dfaf549d01ce194262f225718ad1e12f3bb529f8c417da22c5a59aa94c69d1"),
         (("info", "1"), "864ed495da380ffccdcf2e44dc1a392a5dae6ed343f96ba51c3b96dadba27fcd"),
         (("info", "3,5,7"), "733bccb29418e2c3caa7b0a119886daa42adbd6168bc630d03e6671e36e82044"),
+        (("ideals", "3,68,70"), "6992f74da34b1afa836ff7b82fda39c1a42222944eefb68d0c60f156a2b410db"),
+        (("ca", "3,68,70"), "9c299f89a563ff82287c1611a92387c10ba01c66e542a4c1538b752ce86a006c"),
+        (("ideals", "4,37,39"), "2a403943f3a1b7ca8361c064906df3f4c1354aa6ecf5a985eacb587137db98fa"),
+        (("ca", "4,37,39"), "be21aba5386cc749fc524e68dc051e851c2df75e39c6fedc638de5d54c2a26ba"),
     ],
-    ids=["ideals-7,9", "ca-7,9", "ideals-9..17", "ca-9..17", "ca-1", "ca-3,5,7", "info-1", "info-3,5,7"],
+    ids=[
+        "ideals-7,9", "ca-7,9", "ideals-9..17", "ca-9..17", "ca-1", "ca-3,5,7", "info-1", "info-3,5,7",
+        "ideals-3,68,70", "ca-3,68,70", "ideals-4,37,39", "ca-4,37,39",
+    ],
 )
 def test_query_output_bytes_pinned(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+def test_query_outputs_match_the_benchmark_references(capsys):
+    """`ca` and `ideals` on each of the 97 genus-16 query candidates that
+    bench/references.json records give the SHA-256 recorded there (the
+    file is read, never written)."""
+    refs = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+    candidates = json.loads(refs.read_text(encoding="utf-8"))["query"]["candidates"]
+    assert len(candidates) == 97
+    for gens, row in candidates.items():
+        for command in ("ca", "ideals"):
+            code, out, _ = run_cli(capsys, command, gens)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == row[command], (command, gens)

@@ -531,6 +531,37 @@ def test_format_ideal_matches_definition_on_random_ideals():
             assert format_ideal(ray) == _definitional_format(ray), (gens, ray.min)
 
 
+def test_class_texts_match_definition():
+    """The batch text rule of ``nslab ideals`` gives the definitional text
+    of every class of every semigroup of genus <= 8 and of <3,68,70>,
+    whose window is wider than one 64-bit word."""
+    from nslab import enumerate_up_to_genus
+    from nslab.ideals import _format_classes
+
+    for s in [*enumerate_up_to_genus(8), semigroup_from_generators([3, 68, 70])]:
+        classes = enumerate_ideal_classes(s)
+        texts = _format_classes([e._mask for e in classes], s.frobenius + 1)
+        assert texts == [_definitional_format(e) for e in classes], str(s)
+
+
+def test_canonical_window_is_kept_per_semigroup():
+    """K's window is reflected on the first canonical dual and kept on
+    that semigroup object alone: an equal twin keeps no copy until it
+    makes its own, and both give K and every canonical dual as the
+    slow oracle does."""
+    s, twin = semigroup_from_generators([4, 7, 9, 10]), semigroup_from_generators([4, 7, 9, 10])
+    assert s._canonical is None and twin._canonical is None
+    classes = enumerate_ideal_classes(s)
+    k, window = from_ideal(canonical_ideal(s)), range(s.frobenius + 1)
+    assert [x for x in window if x in k] == [x for x in window if s.frobenius - x not in s]
+    for e in classes:
+        assert agrees(canonical_dual(e), slow_colon(k, from_ideal(e)))
+    assert s._canonical == canonical_ideal(s)._mask and twin._canonical is None
+    assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+    assert pickle.loads(pickle.dumps(s))._canonical == s._canonical
+    assert canonical_ideal(twin) == canonical_ideal(s) and twin._canonical == s._canonical
+
+
 def test_generator_memo_is_per_semigroup():
     """Window mask 0b101 is the class {0,2} of <3,4,5>, generated at 0 and
     2, and S itself in <2,5>, generated at 0.  Sums, colons and minimal
