@@ -16,12 +16,13 @@ bound holds.  The certificate records which statements justify reporting an
 exact value for the cohomology annihilator rather than an interval.
 
 :class:`SemigroupContext` is the class table of one semigroup: its ideal
-classes, listed once, and every per-class fact (duals, traces, stable
-annihilators, minimal generators, sum and colon tables) read by class
-position.  An ideal in the table is a pair (class position, least
+classes, listed once as the window masks that the class walk
+``ideals._class_masks`` builds, and every per-class fact (duals, traces,
+stable annihilators, minimal generators, sum and colon tables) read by
+class position.  An ideal in the table is a pair (class position, least
 element), the translate of that class to that least element.  All of
-them except the blowups and the syzygies come from the classes' window
-masks through the mask kernel of ``semigroups`` (``_or_shifts``, the sum
+them except the blowups and the syzygies come from the class masks
+through the mask kernel of ``semigroups`` (``_or_shifts``, the sum
 rule; ``_and_shifts``, the colon rule; ``_relocate``, the least-element
 step), with no object kernel call and no ``RelativeIdeal`` per class:
   * ``mingens``: the bits of each mask outside its shifts by the
@@ -40,7 +41,8 @@ step), with no object kernel call and no ``RelativeIdeal`` per class:
     masks on [0, 2w), each read through ``_membership``;
   * ``sums`` and ``colons``: the two rules for every pair of classes,
     on every class at once, each class's mask in a lane of 64-bit words
-    of one integer, read back with one ``struct.unpack``.
+    of one integer, ``_packed``, packed once per context and read back
+    with one ``struct.unpack``.
 Two maps read a window mask back.  ``index`` gives the position of a
 class window, for ``sums``, ``trace_pairs`` and ``pos``, whose windows
 are class windows already; a position read from it is cheaper than one
@@ -53,11 +55,13 @@ class without building them: ring dual i is entry pos(S) of column i of
 ``colons``, ``colons[i][pos(S)]``, canonical dual i its entry pos(K),
 trace i is ``(sums[i][d], off)`` for ring dual ``(d, off)``, and stable
 annihilator i is the colon of the trace's class by the class of E - E,
-shifted by the trace's least element.  ``ring_duals``, ``can_duals``,
-``traces`` and ``stable_anns`` are views of the pair lists as
-``RelativeIdeal`` lists, built on first read, for the suites that call
-the object kernel on them or write them into witness text; a suite that
-compares classes or translates compares the pairs.
+shifted by the trace's least element.  ``classes`` is the view of the
+masks as ``RelativeIdeal``s, and ``ring_duals``, ``can_duals``,
+``traces`` and ``stable_anns`` the views of the pair lists, each built
+on first read, for the suites that call the object kernel on them or
+write them into witness text; a suite that compares classes or
+translates compares the pairs, and ``nslab ca`` and ``nslab ideals``
+build no view.
 ``syzygies`` lists, for each class with two minimal generators, its
 syzygy, which is its ring dual S - E built by the object kernel, and
 that syzygy's class position, and ``canred`` is read from
@@ -80,10 +84,10 @@ from .semigroups import (
 )
 from .ideals import (
     RelativeIdeal,
+    _class_masks,
     canonical_dual,
     canonical_ideal,
     difference,
-    enumerate_ideal_classes,
     format_ideal,
     intersect,
     is_reflexive,
@@ -168,16 +172,16 @@ class _Located(dict):
 class SemigroupContext:
     """The class table of one semigroup.
 
-    ``classes`` lists the normalized ideal classes once, S first
-    (``unit``) and the normalization last (``nat``); every other
-    per-class fact is a list read by class position, built on first use
-    from the lists before it.  An ideal in the table is a pair
-    (class position, least element), as in ``colons``; class i is
-    (i, 0).  ``sums[i][j]`` is classes[i] + classes[j]; ``colons`` is a
-    list of columns, one per divisor, as the colon rule builds it:
-    ``colons[j][i]`` is classes[i] - classes[j].  ``masks`` holds each
-    class's window mask (bit k: k is a member, for k < ``width`` =
-    frobenius + 1; every integer from ``width`` on is a member) and
+    ``masks`` lists the normalized ideal classes once, as the class walk
+    ``ideals._class_masks`` builds them, S first and the normalization
+    last: each class's window mask (bit k: k is a member, for k <
+    ``width`` = frobenius + 1; every integer from ``width`` on is a
+    member).  Every other per-class fact is a list read by class
+    position, built on first use from the lists before it.  An ideal in
+    the table is a pair (class position, least element), as in
+    ``colons``; class i is (i, 0).  ``sums[i][j]`` is classes[i] +
+    classes[j]; ``colons`` is a list of columns, one per divisor, as the
+    colon rule builds it: ``colons[j][i]`` is classes[i] - classes[j].
     ``index`` maps a window mask back to its class position.  Since a
     relative ideal stores its mask relative to its least element,
     ``pos(e)`` finds the class of any ideal, translated or not.  Only the
@@ -187,9 +191,13 @@ class SemigroupContext:
     The minimal generators, the ``sums`` and ``colons`` tables and the
     pair lists of the duals, traces and stable annihilators are the table;
     they are computed from the masks alone, with no ``RelativeIdeal`` per
-    entry.  ``ring_duals``, ``can_duals``, ``traces`` and ``stable_anns``
-    are views of the pair lists, as ``classes`` sits beside ``masks``:
-    each builds one ``RelativeIdeal`` per class on first read.
+    entry.  ``classes`` is the view of ``masks``, the tuple that
+    ``enumerate_ideal_classes`` gives, and ``ring_duals``, ``can_duals``,
+    ``traces`` and ``stable_anns`` are views of the pair lists: each
+    builds one ``RelativeIdeal`` per class on first read.  ``unit`` (S)
+    and ``nat`` (the normalization) are built at once, from positions 0
+    and -1; they equal ``classes[0]`` and ``classes[-1]`` but are other
+    objects.
     """
 
     def __init__(self, s: NumericalSemigroup):
@@ -198,30 +206,29 @@ class SemigroupContext:
         self.mset = maximal_ideal(s)
         self.k = canonical_ideal(s)
         self.conductor = conductor_ideal(s)
-        self.classes = enumerate_ideal_classes(s)
-        self.unit, self.nat = self.classes[0], self.classes[-1]
-        self.masks = [e._mask for e in self.classes]
+        self.masks = _class_masks(s)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.width = s.frobenius + 1
         self.full = _ones(self.width)
-        self._tail = self.full << self.width
         self._words = max(1, (2 * self.width + 63) // 64)
         self._located = _Located(self.masks, self.width)
+        self.unit, self.nat = self._ideals([(0, 0), (-1, 0)])
 
     def pos(self, e: RelativeIdeal) -> int:
         return self.index[e._mask]
 
-    def _ideals(self, pairs: list[tuple[int, int]]) -> list[RelativeIdeal]:
+    def _ideals(self, pairs: Iterable[tuple[int, int]]) -> list[RelativeIdeal]:
         """The view of a pair list as relative ideals."""
         return [RelativeIdeal(self.s, off, self.masks[p]) for p, off in pairs]
 
     def _colon_pairs(self, dividends: Iterable[int], divisors: Iterable) -> Iterator[tuple[int, int]]:
         """d - F for each window mask d of a class (S, K or any other,
         least element 0) and the generator tuple of the class F beside
-        it: the colon rule on d's window extended by w tail bits
-        (``_tail``), by F's generators, through ``_located``; lazily, so
-        that a caller may stop early."""
-        located, full, tail = self._located, self.full, self._tail
+        it: the colon rule on d's window extended by its tail, the
+        infinite ones of a negative int as in ``ideals._colon``, by F's
+        generators, cut to the window and read through ``_located``;
+        lazily, so that a caller may stop early."""
+        located, full, tail = self._located, self.full, -1 << self.width
         return (located[_and_shifts(d | tail, gens) & full] for d, gens in zip(dividends, divisors))
 
     @cached_property
@@ -265,7 +272,9 @@ class SemigroupContext:
         anns = self._colon_pairs([masks[t] for t, _ in traces], [mingens[p] for p, _ in endos])
         return [(p, off + b0) for (p, b0), (_, off) in zip(anns, traces)]
 
-    # The views, each a list[RelativeIdeal] built on first read
+    # The views, each built on first read: ``classes`` a tuple, as
+    # ``enumerate_ideal_classes`` gives it, and the others lists
+    classes = cached_property(lambda self: tuple(self._ideals((i, 0) for i in range(len(self.masks)))))
     ring_duals = cached_property(lambda self: self._ideals(self.ring_dual_pairs))
     can_duals = cached_property(lambda self: self._ideals(self.can_dual_pairs))
     traces = cached_property(lambda self: self._ideals(self.trace_pairs))
@@ -298,7 +307,7 @@ class SemigroupContext:
         duals = self._colon_pairs(repeat(self.k._mask), map(mingens.__getitem__, picked))
         for i, (d, _) in zip(picked, duals):
             if not reflexive[d]:
-                return False, self.classes[i]
+                return False, self._ideals([(i, 0)])[0]
         return True, None
 
     @cached_property
@@ -315,24 +324,27 @@ class SemigroupContext:
         (it gives the empty window of N's one class the generator 0)."""
         s, masks = self.s, self.masks
         gens = [a for a in s.minimal_generators if a < self.width]
-        return s._memo_generators(masks, self._lanes(_generator_mask(self._pack(masks), gens)))
+        return s._memo_generators(masks, self._lanes(_generator_mask(self._packed, gens)))
 
-    # ``mingens`` and the two tables shift every class at once: ``_pack``
-    # puts class j's mask in lane j of one integer, a lane being ``_words``
-    # = ceil(2w / 64) little-endian 64-bit words, and at least one, so that
-    # the empty window of N is a lane like any other.  A lane of 2w bits or
-    # more holds a window shifted up by less than w, or a window extended
-    # by w tail bits, so a shift by a generator offset moves no bit into
-    # the window of another lane.  ``_lanes`` reads every window back as an
-    # int.
+    # ``mingens`` and the two tables shift every class at once: ``_packed``
+    # holds class j's mask in lane j of one integer, packed once per
+    # context, a lane being ``_words`` = ceil(2w / 64) little-endian 64-bit
+    # words, and at least one, so that the empty window of N is a lane like
+    # any other.  A lane of 2w bits or more holds a window shifted up by
+    # less than w, or a window extended by w tail bits (``colons`` ORs in
+    # ``_lane_windows`` shifted up by w), so a shift by a generator offset
+    # moves no bit into the window of another lane.  ``_lanes`` reads every
+    # window back as an int.
 
-    def _pack(self, masks) -> int:
+    @cached_property
+    def _packed(self) -> int:
         size = 8 * self._words
-        return int.from_bytes(b"".join(m.to_bytes(size, "little") for m in masks), "little")
+        return int.from_bytes(b"".join(m.to_bytes(size, "little") for m in self.masks), "little")
 
     @cached_property
     def _lane_windows(self) -> int:
-        """``_pack`` of the full window in every lane, one lane's bytes repeated."""
+        """The full window in every lane, packed as ``_packed`` is: one
+        lane's bytes repeated."""
         return int.from_bytes(self.full.to_bytes(8 * self._words, "little") * len(self.masks), "little")
 
     def _lanes(self, packed: int) -> Iterable[int]:
@@ -355,14 +367,13 @@ class SemigroupContext:
         g + classes[j], whose window is the OR of the shifted masks; the
         tail of each translate lies past the window.  Row i is the sum
         rule on every lane at once."""
-        return self._table(_or_shifts, self.masks, self.index.__getitem__, self.mingens)
+        return self._table(_or_shifts, self._packed, self.index.__getitem__, self.mingens)
 
-    def _table(self, rule, masks, lookup, row_gens) -> list[list]:
-        """One row for each generator tuple in ``row_gens``: ``masks``
-        packed once, ``rule`` (``_or_shifts`` or ``_and_shifts``) applied
-        by the tuple to every lane at once, and each lane read back
-        through ``lookup``."""
-        packed = self._pack(masks)
+    def _table(self, rule, packed: int, lookup, row_gens) -> list[list]:
+        """One row for each generator tuple in ``row_gens``: ``rule``
+        (``_or_shifts`` or ``_and_shifts``) applied by the tuple to every
+        lane of ``packed`` at once, and each lane read back through
+        ``lookup``."""
         return [list(map(lookup, self._lanes(rule(packed, gens)))) for gens in row_gens]
 
     def sum_row(self, i: int) -> list[int]:
@@ -371,7 +382,7 @@ class SemigroupContext:
         a suite that reads one row does not build all n."""
         if "sums" in self.__dict__:
             return self.sums[i]
-        return self._table(_or_shifts, self.masks, self.index.__getitem__, [self.mingens[i]])[0]
+        return self._table(_or_shifts, self._packed, self.index.__getitem__, [self.mingens[i]])[0]
 
     @cached_property
     def colons(self) -> list[list[tuple[int, int]]]:
@@ -383,8 +394,10 @@ class SemigroupContext:
         to the window is exact; ``_relocate`` moves it to its least element
         (an empty window is the ray from w).  Column j is the colon rule
         by classes[j]'s generators on every lane at once, one rule per
-        divisor, so the table is kept as the list of those columns."""
-        ext = (m | self._tail for m in self.masks)
+        divisor, so the table is kept as the list of those columns.  The
+        tail bits are ``_lane_windows`` shifted up by w, ORed into
+        ``_packed``."""
+        ext = self._packed | self._lane_windows << self.width
         return self._table(_and_shifts, ext, self._located.__getitem__, self.mingens)
 
     @cached_property

@@ -32,6 +32,10 @@ one colon core, ``_colon``, which reads the first operand as a least
 element and a window mask, so the duals take S's window or K's reflected
 one without building S or K.  K's window is reflected once per
 semigroup object and kept beside the generator memo.
+
+The ideal classes are walked once, as window masks, by ``_class_masks``:
+the class table of ``annihilators`` keeps that list as its class list,
+and ``enumerate_ideal_classes`` builds one ``RelativeIdeal`` per mask.
 """
 
 from __future__ import annotations
@@ -343,17 +347,24 @@ def syzygy_two_generated(e: RelativeIdeal) -> RelativeIdeal:
 
 def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
     """Every normalized relative ideal, each given as S with a set of gaps
-    adjoined.
+    adjoined, in the order of ``_class_masks``, which walks them: S first
+    and the normalization last.  These are the classes of the ideal class
+    monoid (Casabella, D'Anna and García-Sánchez)."""
+    return tuple(RelativeIdeal(s, 0, m) for m in _class_masks(s))
+
+
+def _class_masks(s: NumericalSemigroup) -> list[int]:
+    """The window mask of every normalized relative ideal, each S with a
+    set of gaps adjoined: the one class walk, which the class table keeps
+    as its class list and ``enumerate_ideal_classes`` wraps.
 
     A set G of gaps gives an ideal exactly when it is up-closed: a gap g in
-    G forces every gap g + a, for a minimal generator a, into G.  These are
-    the classes of the ideal class monoid (Casabella, D'Anna and
-    García-Sánchez).  The walk decides the gaps in decreasing order, so
-    the gaps that g forces are decided before g: it keeps every up-closed
-    set of the gaps decided so far, and at g adds g to each of them that
-    holds all the gaps g forces.  Every set it keeps is a class, so the
-    work is proportional to the genus times the number of classes, not to
-    2^genus.
+    G forces every gap g + a, for a minimal generator a, into G.  The walk
+    decides the gaps in decreasing order, so the gaps that g forces are
+    decided before g: it keeps every up-closed set of the gaps decided so
+    far, and at g adds g to each of them that holds all the gaps g forces.
+    Every set it keeps is a class, so the work is proportional to the
+    genus times the number of classes, not to 2^genus.
 
     Deterministic order: by number of adjoined gaps, then by the ascending
     list of adjoined gaps, compared lexicographically.  So S itself comes
@@ -374,14 +385,14 @@ def enumerate_ideal_classes(s: NumericalSemigroup) -> tuple[RelativeIdeal, ...]:
     """
     gapmask = _ones(s.frobenius + 1) & ~s._mask
     found = [0]
-    for g in sorted(_bit_indices(gapmask), reverse=True):
+    for g in reversed(_bit_indices(gapmask)):
         # g + a is forced exactly when it is a gap
         forced = _or_shifts(1 << g, s.minimal_generators) & gapmask
         bit = 1 << g
         found += [c | bit for c in found if forced & ~c == 0]
     found.reverse()
     found.sort(key=int.bit_count)
-    return tuple(RelativeIdeal(s, 0, s._mask | m) for m in found)
+    return [s._mask | m for m in found]
 
 
 # -- textual form ---------------------------------------------------------------

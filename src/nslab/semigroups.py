@@ -96,11 +96,13 @@ def _ones(n: int) -> int:
     return (1 << n) - 1
 
 
-def _bit_indices(mask: int) -> Iterator[int]:
+def _bit_indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending, read lowest bit first."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _or_shifts(mask: int, offsets) -> int:
@@ -333,7 +335,7 @@ class NumericalSemigroup(_Frozen):
 
     def members_below(self, stop: int) -> list[int]:
         """All members z with 0 <= z < stop."""
-        return list(_bit_indices(_membership(0, self._mask, self.frobenius + 1, 0, max(stop, 0))))
+        return _bit_indices(_membership(0, self._mask, self.frobenius + 1, 0, max(stop, 0)))
 
     @property
     def gap_set(self) -> frozenset[int]:

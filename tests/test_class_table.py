@@ -157,6 +157,37 @@ def test_mingens_past_one_word_match_the_oracle(gens):
         assert mingens[i] == tuple(z for z in a.upto(em.tail) if z not in em), i
 
 
+@pytest.mark.parametrize("gens", [[3, 68, 70], [4, 37, 39]], ids=["3,68,70", "4,37,39"])
+def test_tables_past_one_word_match_the_object_kernel(gens):
+    """w = 68 (552 classes) and w = 71 (1 330 classes), lanes of two and
+    of three 64-bit words.  A seeded sample of ``sums`` and ``colons``
+    entries equals the object kernel's sum and colon, each read as its
+    class position and least element; ``sum_row``, read on a fresh
+    context by the row rule alone, equals the row of the table built
+    after it; and the dual pair lists are the colon table's entries at
+    the classes of S and of K."""
+    s = semigroup_from_generators(gens)
+    ctx = SemigroupContext(s)
+    n = len(ctx.masks)
+    assert ctx.width > 64
+    rng = random.Random(20261020)
+    rows = {i: ctx.sum_row(i) for i in rng.sample(range(n), 5)}
+    assert "sums" not in vars(ctx)
+    sums, colons, classes = ctx.sums, ctx.colons, ctx.classes
+    for i, row in rows.items():
+        assert row == sums[i], i
+    for cell in rng.sample(range(n * n), 300):
+        i, j = divmod(cell, n)
+        e = ideal_sum(classes[i], classes[j])
+        assert (sums[i][j], 0) == (ctx.pos(e), e.min), (i, j)
+        e = ideals.difference(classes[i], classes[j])
+        assert colons[j][i] == (ctx.pos(e), e.min), (i, j)
+    unit, k = ctx.pos(ctx.unit), ctx.pos(ctx.k)
+    for i in range(n):
+        assert ctx.ring_dual_pairs[i] == colons[i][unit], i
+        assert ctx.can_dual_pairs[i] == colons[i][k], i
+
+
 def test_colon_table_is_built_in_one_copy():
     """The colon rule gives the table column by column, and ``colons``
     keeps those columns: building it on <9..17> (256 classes) never holds
@@ -298,6 +329,8 @@ def test_table_reads_match_public_functions():
         label = str(s)
         classes = enumerate_ideal_classes(s)
         assert classes[0] == ctx.unit, label
+        assert ctx.classes == classes, label
+        assert ctx.nat == classes[-1], label
         shadow = category_annihilator(classes)
         closure = duality_closure_shadow(classes)
         assert ctx.category_shadow == shadow, label
@@ -345,9 +378,10 @@ def test_corrupted_table_is_reported(table):
 
 
 def _count_enumerations(monkeypatch) -> Counter:
-    """Count enumerate_ideal_classes calls, under every name nslab holds it."""
+    """Count calls of the class walk ``_class_masks``, under every name
+    nslab holds it."""
     calls: Counter = Counter()
-    original = ideals.enumerate_ideal_classes
+    original = ideals._class_masks
 
     def counted(s):
         calls[str(s)] += 1
@@ -373,6 +407,25 @@ def test_ca_enumerates_once(monkeypatch, capsys):
     assert cli_main(["ca", "4,7,9,10"]) == 0
     capsys.readouterr()
     assert calls == Counter({"4,7,9,10": 1})
+
+
+@pytest.mark.parametrize("command", ["ideals", "ca"])
+def test_query_builds_a_fixed_number_of_ideals(monkeypatch, capsys, command):
+    """``ideals`` and ``ca`` on <5,18,19,26,27> (502 classes) read the
+    class table's masks and pairs: they build a few ``RelativeIdeal``s,
+    counted at ``__post_init__`` as the tracer counts them, not one per
+    class."""
+    rel = ideals.RelativeIdeal
+    post_init, built = rel.__post_init__, Counter()
+
+    def counted(e):
+        built[command] += 1
+        post_init(e)
+
+    monkeypatch.setattr(rel, "__post_init__", counted)
+    assert cli_main([command, "5,18,19,26,27"]) == 0
+    capsys.readouterr()
+    assert built[command] <= 16, built
 
 
 def test_pos_finds_translated_ideals():
