@@ -29,6 +29,9 @@ step), with no object kernel call and no ``RelativeIdeal`` per class:
     generators of S below w, the generator rule on every lane at once,
     each entered in the semigroup's generator memo, which the object
     kernel reads too;
+  * ``covers``: the lower covers of each class in the inclusion order,
+    the class minus one of its nonzero minimal generators, looked up in
+    ``index``;
   * ``ring_dual_pairs`` and ``can_dual_pairs``: the colon rule on the
     window of S or of K, by each class's generators, relocated, through
     the one list rule ``_colon_pairs``;
@@ -44,9 +47,9 @@ step), with no object kernel call and no ``RelativeIdeal`` per class:
     of one integer, ``_packed``, packed once per context and read back
     with one ``struct.unpack``.
 Two maps read a window mask back.  ``index`` gives the position of a
-class window, for ``sums``, ``trace_pairs`` and ``pos``, whose windows
-are class windows already; a position read from it is cheaper than one
-taken out of a pair.  ``_located`` gives the (class position, least
+class window, for ``sums``, ``trace_pairs``, ``covers`` and ``pos``,
+whose windows are class windows already; a position read from it is
+cheaper than one taken out of a pair.  ``_located`` gives the (class position, least
 element) pair of any window, for ``colons``, the duals and the stable
 annihilators alike: it holds each class window as (i, 0) and relocates
 each other new window once.
@@ -94,8 +97,10 @@ from .ideals import (
     is_subset,
     maximal_ideal,
     minimal_generators,
+    normalization_ideal,
     ring_dual,
     trace_ideal,
+    unit_ideal,
 )
 from .rings import blowup, classify, conductor_ideal
 
@@ -195,9 +200,9 @@ class SemigroupContext:
     ``enumerate_ideal_classes`` gives, and ``ring_duals``, ``can_duals``,
     ``traces`` and ``stable_anns`` are views of the pair lists: each
     builds one ``RelativeIdeal`` per class on first read.  ``unit`` (S)
-    and ``nat`` (the normalization) are built at once, from positions 0
-    and -1; they equal ``classes[0]`` and ``classes[-1]`` but are other
-    objects.
+    and ``nat`` (the normalization) are ``classes[0]`` and
+    ``classes[-1]``, read from that view, so a context holds each class
+    object once.
     """
 
     def __init__(self, s: NumericalSemigroup):
@@ -212,7 +217,6 @@ class SemigroupContext:
         self.full = _ones(self.width)
         self._words = max(1, (2 * self.width + 63) // 64)
         self._located = _Located(self.masks, self.width)
-        self.unit, self.nat = self._ideals([(0, 0), (-1, 0)])
 
     def pos(self, e: RelativeIdeal) -> int:
         return self.index[e._mask]
@@ -233,7 +237,7 @@ class SemigroupContext:
 
     @cached_property
     def ring_dual_pairs(self) -> list[tuple[int, int]]:
-        return list(self._colon_pairs(repeat(self.unit._mask), self.mingens))
+        return list(self._colon_pairs(repeat(self.masks[0]), self.mingens))
 
     @cached_property
     def can_dual_pairs(self) -> list[tuple[int, int]]:
@@ -273,8 +277,11 @@ class SemigroupContext:
         return [(p, off + b0) for (p, b0), (_, off) in zip(anns, traces)]
 
     # The views, each built on first read: ``classes`` a tuple, as
-    # ``enumerate_ideal_classes`` gives it, and the others lists
+    # ``enumerate_ideal_classes`` gives it, S and the normalization its
+    # ends, and the others lists
     classes = cached_property(lambda self: tuple(self._ideals((i, 0) for i in range(len(self.masks)))))
+    unit = property(lambda self: self.classes[0])
+    nat = property(lambda self: self.classes[-1])
     ring_duals = cached_property(lambda self: self._ideals(self.ring_dual_pairs))
     can_duals = cached_property(lambda self: self._ideals(self.can_dual_pairs))
     traces = cached_property(lambda self: self._ideals(self.trace_pairs))
@@ -325,6 +332,25 @@ class SemigroupContext:
         s, masks = self.s, self.masks
         gens = [a for a in s.minimal_generators if a < self.width]
         return s._memo_generators(masks, self._lanes(_generator_mask(self._packed, gens)))
+
+    @cached_property
+    def covers(self) -> list[list[int]]:
+        """The lower covers of each class in the class poset (Bonzio and
+        García-Sánchez), ordered by inclusion: E \\ {x} for each nonzero
+        minimal generator x of E, as class positions.
+
+        For x in E, E \\ {x} is a class exactly when x is a nonzero
+        minimal generator of E.  It holds 0 exactly when x is not 0.  It
+        is closed under adding S exactly when x is not y + m for a member
+        y of E and a member m of M, the nonzero members of S: when x lies
+        outside E + M, which makes x a minimal generator.  A nonzero
+        member of S lies in 0 + M, so such an x is an adjoined gap.
+        Every class H strictly inside E lies inside a cover: remove the
+        least x of E \\ H, a gap of S since S lies inside H.  E \\ {x} is
+        closed under adding S: e + s = x with s > 0 needs e < x in E,
+        which puts x in H if e is in H and contradicts the choice of x if
+        not.  So the classes inside E are E and those inside its covers."""
+        return [[self.index[m ^ 1 << x] for x in gens[1:]] for m, gens in zip(self.masks, self.mingens)]
 
     # ``mingens`` and the two tables shift every class at once: ``_packed``
     # holds class j's mask in lane j of one integer, packed once per
@@ -470,7 +496,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
             f"{format_ideal(cond)} vs {format_ideal(shadow)}"
         )
 
-    if stable_annihilator(ctx.nat) != cond:
+    if stable_annihilator(normalization_ideal(s)) != cond:
         raise InconsistentCertificate(
             f"stable annihilator of the normalization differs from the "
             f"conductor on <{s}>"
@@ -482,7 +508,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     )
 
     if s.is_naturals:
-        return build(status=STATUS_REGULAR, value=ctx.unit, justification=(TAG_REGULAR,))
+        return build(status=STATUS_REGULAR, value=unit_ideal(s), justification=(TAG_REGULAR,))
 
     if inv.almost_symmetric and shadow != cond:
         raise InconsistentCertificate(f"category shadow differs from conductor on <{s}>")

@@ -30,8 +30,8 @@ A sum, colon or dual builds one ``RelativeIdeal``, its result, and
 nothing else: ``difference``, ``ring_dual`` and ``canonical_dual`` share
 one colon core, ``_colon``, which reads the first operand as a least
 element and a window mask, so the duals take S's window or K's reflected
-one without building S or K.  K's window is reflected once per
-semigroup object and kept beside the generator memo.
+one without building S or K.  K's window is reflected on each call, and
+the semigroup object keeps no copy of it.
 
 The ideal classes are walked once, as window masks, by ``_class_masks``:
 the class table of ``annihilators`` keeps that list as its class list,
@@ -45,7 +45,7 @@ from itertools import compress
 
 from .semigroups import (
     NumericalSemigroup, EmptyGenerators, _Frozen, _ones, _bit_indices,
-    _and_shifts, _membership, _or_shifts, _relocate, _reverse, _set_canonical,
+    _and_shifts, _membership, _or_shifts, _relocate, _reverse,
 )
 
 
@@ -290,12 +290,9 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
 def _canonical_mask(s: NumericalSemigroup) -> int:
     """The window of the normalized canonical ideal: bit x of the
     reversed gap mask is set when frobenius - x is a gap.  It is
-    reflected once per semigroup object and kept in its ``_canonical``
-    slot, as the generator memo is kept."""
-    if s._canonical is None:
-        width = s.frobenius + 1
-        _set_canonical(s, _reverse(_ones(width) & ~s._mask, width))
-    return s._canonical
+    reflected on each call; the class table holds K once, as ``k``."""
+    width = s.frobenius + 1
+    return _reverse(_ones(width) & ~s._mask, width)
 
 
 def canonical_dual(e: RelativeIdeal) -> RelativeIdeal:

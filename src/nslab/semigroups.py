@@ -290,14 +290,12 @@ class NumericalSemigroup(_Frozen):
     ``_mask`` holds membership for [0, frobenius]; every larger integer is a
     member.  For the full semigroup of nonnegative integers the Frobenius
     number is -1 and the window is empty.  ``_offsets`` is the generator
-    memo of ``_generator_offsets`` and ``_canonical`` the canonical
-    ideal's window (``ideals._canonical_mask``): each made on first use,
-    outside ``==``, ``hash`` and ``repr``, kept by pickles and copies.
+    memo of ``_generator_offsets``: made on first use, outside ``==``,
+    ``hash`` and ``repr``, kept by pickles and copies.
     ``__init__`` validates nothing.
     """
 
-    __slots__ = ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets",
-                 "_canonical")
+    __slots__ = ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets")
 
     minimal_generators: tuple[int, ...]
     frobenius: int
@@ -305,7 +303,6 @@ class NumericalSemigroup(_Frozen):
     genus: int
     _mask: int
     _offsets: dict | None
-    _canonical: int | None
 
     def __init__(
         self,
@@ -321,7 +318,6 @@ class NumericalSemigroup(_Frozen):
         _set_genus(self, genus)
         _set_mask(self, _mask)
         _set_offsets(self, None)
-        _set_canonical(self, None)
 
     def _compared(self) -> tuple:
         return (self.minimal_generators, self.frobenius, self.multiplicity, self.genus, self._mask)
@@ -415,7 +411,6 @@ _set_multiplicity = NumericalSemigroup.multiplicity.__set__
 _set_genus = NumericalSemigroup.genus.__set__
 _set_mask = NumericalSemigroup._mask.__set__
 _set_offsets = NumericalSemigroup._offsets.__set__
-_set_canonical = NumericalSemigroup._canonical.__set__
 
 
 def _child(gens: tuple[int, ...], frob: int, m: int, mask: int, i: int) -> tuple:

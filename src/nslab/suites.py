@@ -178,25 +178,19 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     element is 0 as well, and then the colon side is ``sub[k]``, the
     classes inside the colon's class k.  The sum side {G : F + G inside E}
     is the union of pre_F[H] = {G : F + G = H} over the classes H inside
-    E, built on the lower covers of the class poset: the masks
-    E \\ {x}, over the adjoined gaps x of E, that are in ``index``.
-    Every class H strictly inside E lies inside a cover: remove the least
-    x of E \\ H, a gap of S since S lies inside H.  E \\ {x} still holds 0
-    and is closed under adding S: e + s = x with s > 0 needs e < x in E,
-    which puts x in H if e is in H and contradicts the choice of x if
-    not.  So the sum side of E is pre_F[E] ORed with those of its covers,
+    E, built on the lower covers of the class poset, ``ctx.covers``, read
+    from the minimal generators: E \\ {x} is a class exactly when x is a
+    nonzero minimal generator of E, and every class strictly inside E
+    lies inside such a cover (``SemigroupContext.covers`` proves both).
+    So the sum side of E is pre_F[E] ORed with those of its covers,
     and ``sub[E]`` is E's own bit ORed with theirs.  A cover has one
     member fewer, so it comes first in the class list, which is sorted by
     popcount, and one forward pass per F builds the list.  The mismatching
     G are the witnesses, sorted back from F-major order to ascending
     (E, F, G).
     """
-    classes, masks, index = ctx.classes, ctx.masks, ctx.index
+    classes, covers = ctx.classes, ctx.covers
     nc = len(classes)
-    covers = [
-        [index[m ^ 1 << x] for x in _bit_indices(m & ~masks[0]) if m ^ 1 << x in index]
-        for m in masks
-    ]
 
     def down(sets: list[int]) -> list[int]:
         """OR into each class's bitset those of the classes inside it."""

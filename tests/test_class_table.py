@@ -301,6 +301,40 @@ def test_table_of_the_naturals():
     assert agrees(translate(ctx.classes[k], off), slow_colon(a, a))
 
 
+def test_covers_are_each_class_minus_a_nonzero_generator():
+    """On every class of every semigroup of genus <= 8, the x with
+    E \\ {x} a class are exactly E's nonzero minimal generators, every
+    cover comes before its class, and the down-closure of ``covers`` is
+    the inclusion order of the classes."""
+    for s in enumerate_up_to_genus(8):
+        ctx = SemigroupContext(s)
+        masks, index, label = ctx.masks, ctx.index, str(s)
+        for m, gens in zip(masks, ctx.mingens):
+            probed = [x for x in range(ctx.width) if m >> x & 1 and m ^ 1 << x in index]
+            assert probed == list(gens[1:]), (label, m)
+        closure = []
+        for i, below in enumerate(ctx.covers):
+            assert all(c < i for c in below), (label, i)
+            acc = 1 << i
+            for c in below:
+                acc |= closure[c]
+            closure.append(acc)
+        inclusion = [sum(1 << h for h, mh in enumerate(masks) if mh & ~m == 0) for m in masks]
+        assert closure == inclusion, label
+
+
+def test_verify_holds_s_and_n_once():
+    """After every suite has run on one context, S and the normalization
+    are the ends of the ``classes`` view, not second objects."""
+    for s in (semigroup_from_generators([1]), S357, semigroup_from_generators([4, 7, 9, 10])):
+        ctx = SemigroupContext(s)
+        rec = Recorder(semigroup=str(s))
+        for suite in REGISTRY.values():
+            suite(ctx, rec)
+        assert rec.violations == [], str(s)
+        assert ctx.unit is ctx.classes[0] and ctx.nat is ctx.classes[-1], str(s)
+
+
 def test_located_holds_the_class_windows_from_the_start():
     """``_located`` is built holding class i's window as (i, 0), so a
     colon rule that lands on a class window needs no relocation: building

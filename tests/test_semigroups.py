@@ -117,7 +117,7 @@ def test_value_type_repr_equality_copies_and_freeze(gens, shown, members, ideal_
             twin,
             f"NumericalSemigroup({shown})",
             (s.minimal_generators, s.frobenius, s.multiplicity, s.genus, s._mask),
-            ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets", "_canonical"),
+            ("minimal_generators", "frobenius", "multiplicity", "genus", "_mask", "_offsets"),
         ),
         (
             e,
