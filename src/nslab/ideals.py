@@ -26,12 +26,13 @@ It is per object, not a module-level cache keyed on (mask, generators):
 it dies with its semigroup, and hands no warm entries to a later run in
 the same process or to a forked pool worker.
 
-A sum, colon or dual builds one ``RelativeIdeal``, its result, and
-nothing else: ``difference``, ``ring_dual`` and ``canonical_dual`` share
-one colon core, ``_colon``, which reads the first operand as a least
-element and a window mask, so the duals take S's window or K's reflected
-one without building S or K.  K's window is reflected on each call, and
-the semigroup object keeps no copy of it.
+A sum, colon or ring dual builds one ``RelativeIdeal``, its result, and
+nothing else: ``difference`` and ``ring_dual`` share one colon core,
+``_colon``, which reads the first operand as a least element and a window
+mask, so the ring dual takes S's window without building S.  The
+canonical dual is its definition, the colon by K: ``canonical_ideal`` is
+the one place that reflects K's window, and the class table holds K
+once, as ``k``, for its readers to pass to ``difference``.
 
 The ideal classes are walked once, as window masks, by ``_class_masks``:
 the class table of ``annihilators`` keeps that list as its class list,
@@ -45,7 +46,7 @@ from itertools import compress
 
 from .semigroups import (
     NumericalSemigroup, EmptyGenerators, _Frozen, _ones, _bit_indices,
-    _and_shifts, _membership, _or_shifts, _relocate, _reverse,
+    _and_shifts, _membership, _or_shifts, _relocate,
 )
 
 
@@ -281,23 +282,20 @@ def intersect(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
 def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The canonical ideal {x : frobenius - x not in S}, normalized.
 
-    Its window pattern is the reflected complement of the semigroup's; it
-    equals S exactly when S is symmetric.
+    Its window pattern is the reflected complement of the semigroup's: bit
+    x is set when frobenius - x is a gap, read off the gap mask written
+    out to w = frobenius + 1 digits and reversed.  It equals S exactly
+    when S is symmetric.  This is the one place that reflects K's window;
+    the class table holds K once, as ``k``, and its readers take it there.
     """
-    return RelativeIdeal(s, 0, _canonical_mask(s))
-
-
-def _canonical_mask(s: NumericalSemigroup) -> int:
-    """The window of the normalized canonical ideal: bit x of the
-    reversed gap mask is set when frobenius - x is a gap.  It is
-    reflected on each call; the class table holds K once, as ``k``."""
     width = s.frobenius + 1
-    return _reverse(_ones(width) & ~s._mask, width)
+    gaps = format(_ones(width) & ~s._mask, f"0{width}b")
+    return RelativeIdeal(s, 0, int(gaps[::-1], 2))
 
 
 def canonical_dual(e: RelativeIdeal) -> RelativeIdeal:
     """Dual against the canonical ideal: K - E."""
-    return _colon(0, _canonical_mask(e.parent), e)
+    return difference(canonical_ideal(e.parent), e)
 
 
 def ring_dual(e: RelativeIdeal) -> RelativeIdeal:

@@ -45,7 +45,6 @@ alone:
   * ``_membership``, the membership step that reads a set on any range
     of integers, through which ``contains`` reads a semigroup or an
     ideal;
-  * ``_reverse``, the reflection k -> w - 1 - k of a window;
   * ``_pseudo_frobenius``, the colon rule S - M read on the gaps from
     -1 up, so that it finds the naturals' one pseudo-Frobenius number.
 ``invariants`` and ``semigroup_from_generators`` call it, and so do the
@@ -160,12 +159,6 @@ def _membership(least: int, mask: int, width: int, lo: int, hi: int) -> int:
     return ext & (1 << hi - lo) - 1
 
 
-def _reverse(mask: int, width: int) -> int:
-    """The reflection of a window: bit k of the result is bit
-    width - 1 - k of ``mask``."""
-    return int(format(mask, f"0{width}b")[::-1], 2)
-
-
 def _pseudo_frobenius(gens, mask: int, w: int) -> int:
     """The pseudo-Frobenius kernel: the gaps g in [-1, w) of a semigroup
     with window ``mask`` over [0, w) and every g + a a member, over its
@@ -188,9 +181,8 @@ class _Frozen:
     every slot unless a type says less (``NotImplemented`` for another
     class); pickles and copies keep every slot, in ``__slots__`` order.
     ``__init__`` takes the slots as a generated dataclass init does, by
-    position or by name (a tuple of every slot by position is stored as
-    it stands, with no check), and ``__repr__`` shows the slots whose
-    names do not start with ``_``.  A type with an ``__init__`` of its own stores
+    position or by name, and ``__repr__`` shows the slots whose names do
+    not start with ``_``.  A type with an ``__init__`` of its own stores
     its fields through the slot descriptors' setters, past
     ``__setattr__``; a write or a delete raises
     ``dataclasses.FrozenInstanceError``.
@@ -206,12 +198,10 @@ class _Frozen:
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
-        if kwargs or len(args) != len(names):
-            given = dict(zip(names, args), **kwargs)
-            if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
-                raise TypeError(f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}")
-            args = tuple(given[name] for name in names)
-        self.__setstate__(args)
+        given = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
+            raise TypeError(f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}")
+        self.__setstate__(tuple(given[name] for name in names))
 
     def _compared(self) -> tuple:
         return self.__getstate__()
@@ -388,7 +378,6 @@ class NumericalSemigroup(_Frozen):
         pfm = _pseudo_frobenius(gens, self._mask, self.frobenius + 1)
         pf = tuple(k - 1 for k in _bit_indices(pfm))
         genus, frob, m = self.genus, self.frobenius, self.multiplicity
-        # every field by position, in __slots__ order: the direct path of __init__
         return InvariantRecord(
             len(gens), m, genus, frob, pf, len(pf), 2 * genus == frob + 1, 2 * genus == frob + len(pf),
             m == len(gens),

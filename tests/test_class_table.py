@@ -335,6 +335,21 @@ def test_verify_holds_s_and_n_once():
         assert ctx.unit is ctx.classes[0] and ctx.nat is ctx.classes[-1], str(s)
 
 
+@pytest.mark.parametrize("gens, found", [((3, 5, 7), 4), ((4, 7, 9, 10), 17), ((5, 7, 9, 11, 13), 29)])
+def test_biduality_reads_the_table_k(gens, found):
+    """``biduality`` takes K − (K − E) with the table's K, ``ctx.k``, not
+    a K of its own: with the canonical duals built and K then replaced by
+    S, the suite reports the classes where S − (K − E) is no translate of
+    E."""
+    ctx = SemigroupContext(semigroup_from_generators(list(gens)))
+    ctx.can_duals
+    ctx.k = ctx.unit
+    rec = Recorder(semigroup=str(ctx.s))
+    REGISTRY["biduality"](ctx, rec)
+    checks = [w.check for w in rec.violations]
+    assert checks == ["biduality:canonical-involution"] * found
+
+
 def test_located_holds_the_class_windows_from_the_start():
     """``_located`` is built holding class i's window as (i, 0), so a
     colon rule that lands on a class window needs no relocation: building

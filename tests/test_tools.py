@@ -1,6 +1,7 @@
 """tools/code_lines.py counts the lines that hold code, every name a
-module of the package imports is read in that module, and no module of
-the package imports ``dataclasses``."""
+module of the package imports is read in that module, no module of the
+package imports ``dataclasses``, and every source file parses as Python
+3.10."""
 
 import ast
 import importlib.util
@@ -95,3 +96,14 @@ def test_no_module_imports_dataclasses():
         if "dataclasses" in _module_level_imports(path.read_text(encoding="utf-8"))
     }
     assert importers == set()
+
+
+def test_every_file_parses_as_python_3_10():
+    """``pyproject.toml`` admits Python 3.10, and a newer interpreter
+    accepts syntax that 3.10 refuses, so every source file of the package,
+    the tests, the tools and the demos must parse with the 3.10 grammar."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for folder in ("src", "tests", "tools", "demos") for path in sorted((root / folder).rglob("*.py"))]
+    assert len(paths) >= 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
