@@ -115,7 +115,6 @@ TAG_CONDUCTOR_STABLE_ANN = "ConductorStableAnnihilator"
 TAG_GORENSTEIN = "GorensteinEquality"
 TAG_REGULAR = "RegularRing"
 TAG_SINGULAR_UPPER = "SingularUpperBound"
-TAG_THEOREM_A_SHADOW = "TheoremAShadow"
 
 
 class InconsistentCertificate(InternalError):
@@ -484,6 +483,26 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     recorded either way.  Every branch fills the same five leading fields
     from the class table, bound once in ``build``; each return names the
     fields it sets.
+
+    The interval is always justified by (WangConductor,
+    SingularUpperBound) alone: off almost symmetry the duality closure
+    fails, so a closure that holds there is an internal error.  Proof.
+    Let S != N have Frobenius number F, M = S \\ {0}, K = {x : F - x not
+    in S} (least element 0) and X* = S - X.
+      1. E = S - M = M - M = S ∪ PF(S) holds 0 and F, so E is a
+         normalized class other than S, and it is reflexive:
+         E** = M*** = M* = E.
+      2. K - E = M + K.  K - (X + K) = (K - K) - X = S - X, so canonical
+         duality K - (K - Y) = Y (Jäger) on Y = X + K gives
+         K - X* = X + K; take X = M.
+      3. R = M + K contains M and not 0, so R lies in S exactly when
+         M + K lies in M, which is almost symmetry (Barucci and Fröberg).
+         If S is not almost symmetric, T = S - R lies in S - M = E,
+         inside N, and misses 0, so F + T lies past F, inside S, and F
+         is in S - T = R**.  But F is not in R: F = m + k with m in M puts
+         F - k in S, so k is not in K.  So R is not reflexive: the
+         reflexive class E, other than S, has a canonical dual that is
+         not reflexive, and the closure fails.
     """
     ctx = SemigroupContext(s)
     cond = ctx.conductor
@@ -530,5 +549,8 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     upper = ctx.mset
     if not is_subset(cond, upper):
         raise InconsistentCertificate(f"conductor not inside the maximal ideal on <{s}>")
-    tags = (TAG_WANG, TAG_SINGULAR_UPPER) + ((TAG_THEOREM_A_SHADOW,) if closure else ())
-    return build(status=STATUS_INTERVAL, lower=cond, upper=upper, justification=tags)
+    if closure:
+        raise InconsistentCertificate(f"duality closure holds on <{s}>, which is not almost symmetric")
+    return build(
+        status=STATUS_INTERVAL, lower=cond, upper=upper, justification=(TAG_WANG, TAG_SINGULAR_UPPER)
+    )

@@ -26,7 +26,6 @@ from .ideals import (
     sum as ideal_sum,
     trace_ideal,
     unit_ideal,
-    _check_parents,
 )
 
 
@@ -84,7 +83,6 @@ def b_ideal(e: RelativeIdeal) -> RelativeIdeal:
 def is_ulrich(e: RelativeIdeal, i: RelativeIdeal) -> bool:
     """Whether E is I-Ulrich: I + E is a translate of E (the translation
     can only be by min(I))."""
-    _check_parents(e, i)
     return is_translate(e, ideal_sum(i, e)) is not None
 
 

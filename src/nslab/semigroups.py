@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from functools import lru_cache
 from itertools import accumulate
 
 
@@ -500,7 +499,6 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     )
 
 
-@lru_cache(maxsize=1)
 def naturals() -> NumericalSemigroup:
     """The semigroup of all nonnegative integers (the regular ring)."""
     return semigroup_from_generators([1])

@@ -559,8 +559,8 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             rec.check(sums_k[p] == p, "ulrichFacts:canonical-powers", (classes[p],), "n={}", n)
         p = sums_k[p]
 
-    nat = ctx.pos(ctx.nat)
-    rec.check(sums_k[nat] == nat, "ulrichFacts:normalization-is-ulrich", (ctx.nat,))
+    nat = len(classes) - 1
+    rec.check(sums_k[nat] == nat, "ulrichFacts:normalization-is-ulrich", (classes[nat],))
 
 
 def suite_canred_facts(ctx: SemigroupContext, rec: Recorder) -> None:
@@ -608,7 +608,7 @@ def suite_ag_closure(ctx: SemigroupContext, rec: Recorder) -> None:
         return
     sums_k = ctx.sum_row(ctx.pos(ctx.k))
     for i, (e, refl) in enumerate(zip(ctx.classes, ctx.reflexive)):
-        if e == ctx.unit or not refl:
+        if i == 0 or not refl:
             continue
         rec.check(sums_k[i] == i, "agClosure:reflexive-is-omega-ulrich", (e,))
     closure, witness = ctx.duality_closure
@@ -674,11 +674,11 @@ def suite_far_flung(ctx: SemigroupContext, rec: Recorder) -> None:
     normalization."""
     if not ctx.classification.far_flung_gorenstein:
         return
-    for e, refl, dual_refl in zip(ctx.classes, ctx.reflexive, ctx.dual_reflexive):
-        if e == ctx.unit or not refl or not dual_refl:
+    for i, (e, refl, dual_refl) in enumerate(zip(ctx.classes, ctx.reflexive, ctx.dual_reflexive)):
+        if i == 0 or not refl or not dual_refl:
             continue
         rec.check(
-            e == ctx.nat,
+            i == len(ctx.masks) - 1,
             "farFlung:reflexive-pair-is-normalization",
             (e,),
             "E={}; normalization={}",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -25,7 +26,10 @@ from nslab import (
     unit_ideal,
 )
 
-from oracles import agrees, from_ideal, slow_stable_annihilator
+from oracles import (
+    SlowSet, agrees, brute_invariants, brute_members, from_ideal, slow_colon, slow_stable_annihilator,
+    slow_sum,
+)
 
 S357 = semigroup_from_generators([3, 5, 7])
 S23 = semigroup_from_generators([2, 3])
@@ -171,24 +175,73 @@ def test_conductor_outside_maximal_ideal_is_inconsistent(monkeypatch, capsys):
     assert err == "internal error: conductor not inside the maximal ideal on <5,6,7>\n"
 
 
-def test_interval_with_duality_closure_cites_theorem_a(monkeypatch):
-    """The Interval branch adds TheoremAShadow when duality closure holds.
-    No semigroup of genus <= 9 reaches it (every Interval certificate
-    there has closure false), so closure is forced on <5,6,7>."""
+def test_interval_with_duality_closure_is_inconsistent(monkeypatch, capsys):
+    """Off almost symmetry the duality closure fails (the proof is in the
+    certificate's docstring), so a closure that holds in the Interval
+    branch is an internal error, exit 3, not a violation; closure is
+    forced on <5,6,7>."""
+    from nslab.cli import main as cli_main
+
     monkeypatch.setattr(SemigroupContext, "duality_closure", property(lambda ctx: (True, None)))
-    cert = certify_cohomology_annihilator(S567)
-    assert cert.justification == ("WangConductor", "SingularUpperBound", "TheoremAShadow")
-    assert cert.to_json_dict() == {
-        "semigroup": "5,6,7",
-        "status": "Interval",
-        "justification": ["WangConductor", "SingularUpperBound", "TheoremAShadow"],
-        "duality_closure": True,
-        "duality_closure_witness": None,
-        "conductor": "[10,∞)",
-        "category_annihilator_shadow": "[10,∞)",
-        "lower": "[10,∞)",
-        "upper": "{5,6,7}∪[10,∞)",
-    }
+    with pytest.raises(InconsistentCertificate, match="duality closure holds"):
+        certify_cohomology_annihilator(S567)
+    assert certify_cohomology_annihilator(S357).status == "Exact-AlmostGorenstein"
+    assert cli_main(["ca", "5,6,7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: duality closure holds on <5,6,7>, which is not almost symmetric\n"
+
+
+def test_reflexive_class_s_minus_m_breaks_closure_off_almost_symmetry():
+    """The three steps of the proof in the certificate's docstring, on
+    every semigroup of genus 1 to 9, with the oracle sets: E = S - M is
+    M - M = S ∪ PF(S), holds 0 and F, and is reflexive; its canonical
+    dual K - E is R = M + K; R lies in S exactly when S is almost
+    symmetric, and otherwise F lies in R** but not in R.  The class
+    table's duality closure holds exactly on the almost symmetric ones."""
+    almost_count = 0
+    for s in enumerate_up_to_genus(9):
+        if s.is_naturals:
+            continue
+        inv = brute_invariants(s.minimal_generators)
+        f, almost = inv["frobenius"], inv["almost_symmetric"]
+        members = brute_members(s.minimal_generators, f + 1)
+        s_set = SlowSet(members, f + 1)
+        m_set = SlowSet(members - {0}, f + 1)
+        k_set = SlowSet([x for x in range(f + 1) if f - x not in s_set], f + 1)
+
+        e_set = slow_colon(s_set, m_set)
+        assert e_set.same_set(slow_colon(m_set, m_set)), str(s)
+        assert e_set.same_set(SlowSet(members | set(inv["pseudo_frobenius"]), f + 1)), str(s)
+        assert 0 in e_set and f in e_set and f not in s_set, str(s)
+        assert slow_colon(s_set, slow_colon(s_set, e_set)).same_set(e_set), str(s)
+
+        r_set = slow_sum(m_set, k_set)
+        assert slow_colon(k_set, e_set).same_set(r_set), str(s)
+        assert 0 not in r_set and all(z in r_set for z in m_set.upto(f + 2)), str(s)
+        assert all(z in s_set for z in r_set.upto(f + 1)) == almost, str(s)
+        if not almost:
+            t_set = slow_colon(s_set, r_set)
+            assert 0 not in t_set and all(z in e_set for z in t_set.upto(f + 2)), str(s)
+            assert f in slow_colon(s_set, t_set) and f not in r_set, str(s)
+        assert SemigroupContext(s).duality_closure[0] == almost, str(s)
+        almost_count += almost
+    assert almost_count == 152
+
+
+def test_ca_bytes_pinned_over_genus_9(capsys):
+    """`nslab ca` on each of the 274 semigroups of genus <= 9, stdout
+    concatenated in enumeration order: one digest over every
+    certificate's bytes."""
+    from nslab.cli import main as cli_main
+
+    digest, count = hashlib.sha256(), 0
+    for s in enumerate_up_to_genus(9):
+        assert cli_main(["ca", str(s)]) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        count += 1
+    assert count == 274
+    assert digest.hexdigest() == "ec5c0fb9d7ff3a87fa6db784bad340ec03900cec7a38a4d5f8ef85de561fc940"
 
 
 def test_certificate_naturals():

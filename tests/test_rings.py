@@ -6,6 +6,7 @@ import nslab.rings as rings
 from nslab import (
     InternalBoundExceeded,
     InternalError,
+    ParentMismatch,
     b_ideal,
     blowup,
     canonical_ideal,
@@ -99,6 +100,12 @@ def test_is_ulrich_examples():
     assert not is_ulrich(maximal_ideal(S567), canonical_ideal(S567))
     for e in enumerate_ideal_classes(S357):
         assert is_ulrich(e, unit_ideal(S357))
+
+
+def test_is_ulrich_over_two_semigroups_is_a_parent_mismatch():
+    """The sum that ``is_ulrich`` takes, I + E, checks the parents."""
+    with pytest.raises(ParentMismatch, match=r"^ideals over <2,3> and <3,5,7> cannot be combined$"):
+        is_ulrich(unit_ideal(S357), unit_ideal(S23))
 
 
 def test_canonical_reduction_number_examples():

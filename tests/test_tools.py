@@ -1,10 +1,12 @@
 """tools/code_lines.py counts the lines that hold code, every name a
-module of the package imports is read in that module, no module of the
+module of the package imports is read in that module, every module-level
+constant of the package is read by one of its modules, no module of the
 package imports ``dataclasses``, and every source file parses as Python
 3.10."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -71,6 +73,37 @@ def test_package_modules_read_every_import():
         if (names := _unread_imports(path.read_text(encoding="utf-8")))
     }
     assert unread == {}
+
+
+def _unread_constants(sources: list[str]) -> list[str]:
+    """The module-level ``UPPER_CASE`` names (a leading underscore
+    allowed) that one of ``sources`` assigns and no expression in any of
+    them reads, as a name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined.update(
+                t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_unread_constant_is_found():
+    sources = ["A_B = 1\n_C: int = 2\nD = 3\nlower = 4\nprint(D)\n", "import m\nm.A_B\n"]
+    assert _unread_constants(sources) == ["_C"]
+
+
+def test_package_modules_read_every_constant():
+    package = Path(__file__).resolve().parents[1] / "src" / "nslab"
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    assert _unread_constants(sources) == []
 
 
 def _module_level_imports(source: str) -> set[str]:
