@@ -201,15 +201,14 @@ class SemigroupContext:
     builds one ``RelativeIdeal`` per class on first read.  ``unit`` (S)
     and ``nat`` (the normalization) are ``classes[0]`` and
     ``classes[-1]``, read from that view, so a context holds each class
-    object once.
+    object once.  The ring-level facts, ``inv``, ``mset`` (the maximal
+    ideal), ``k`` (the canonical ideal) and ``conductor``, are built on
+    first read too, so ``nslab ideals``, which reads none of them, builds
+    no ``RelativeIdeal`` at all.
     """
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
-        self.inv = s.invariants()
-        self.mset = maximal_ideal(s)
-        self.k = canonical_ideal(s)
-        self.conductor = conductor_ideal(s)
         self.masks = _class_masks(s)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.width = s.frobenius + 1
@@ -274,6 +273,12 @@ class SemigroupContext:
         endos = self._colon_pairs(masks, mingens)
         anns = self._colon_pairs([masks[t] for t, _ in traces], [mingens[p] for p, _ in endos])
         return [(p, off + b0) for (p, b0), (_, off) in zip(anns, traces)]
+
+    # The ring-level facts, each built on first read
+    inv = cached_property(lambda self: self.s.invariants())
+    mset = cached_property(lambda self: maximal_ideal(self.s))
+    k = cached_property(lambda self: canonical_ideal(self.s))
+    conductor = cached_property(lambda self: conductor_ideal(self.s))
 
     # The views, each built on first read: ``classes`` a tuple, as
     # ``enumerate_ideal_classes`` gives it, S and the normalization its

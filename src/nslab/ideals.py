@@ -37,6 +37,11 @@ once, as ``k``, for its readers to pass to ``difference``.
 The ideal classes are walked once, as window masks, by ``_class_masks``:
 the class table of ``annihilators`` keeps that list as its class list,
 and ``enumerate_ideal_classes`` builds one ``RelativeIdeal`` per mask.
+
+The input path reads the same kernel: ``validate`` checks E + S inside E
+as one sum rule over the window, and ``parse_ideal`` builds the window of
+the text's set with the sum rule and a negative-int tail, with no loop
+over bits.
 """
 
 from __future__ import annotations
@@ -96,19 +101,18 @@ class RelativeIdeal(_Frozen):
             raise ValueError("mask has bits outside the window")
 
     def validate(self) -> "RelativeIdeal":
-        """Full closure check E + S inside E on the window; the arithmetic
-        operations are correct by construction, so this only runs on
-        untrusted input and in tests."""
-        width = self.width
-        mask = self._mask
-        gens = self.parent.minimal_generators
-        for k in _bit_indices(mask):
-            for a in gens:
-                j = k + a
-                if j < width and not mask >> j & 1:
-                    raise ValueError(
-                        f"not an ideal: {self.min + k} + {a} missing"
-                    )
+        """Full closure check E + S inside E on the window, by the sum
+        rule: E + S is the OR of E's mask shifted by each minimal
+        generator, and a bit of it missing from E inside the window is a
+        failure.  Only a failure walks the members, to name the first
+        member k, then the first generator a, with k + a missing.  The
+        arithmetic operations are correct by construction, so this only
+        runs on untrusted input and in tests."""
+        mask, gens = self._mask, self.parent.minimal_generators
+        missing = _or_shifts(mask, gens) & ~mask & _ones(self.width)
+        if missing:
+            k, a = next((k, a) for k in _bit_indices(mask) for a in gens if missing >> k + a & 1)
+            raise ValueError(f"not an ideal: {self.min + k} + {a} missing")
         return self
 
     # -- geometry ----------------------------------------------------------
@@ -439,7 +443,13 @@ def _dump(obj) -> str:
 
 def parse_ideal(s: NumericalSemigroup, text: str) -> RelativeIdeal:
     """Parse the textual ideal form; accepts any valid tail threshold,
-    e.g. both "[5,∞)" and "{5,6,7}∪[8,∞)" for the same ray."""
+    e.g. both "[5,∞)" and "{5,6,7}∪[8,∞)" for the same ray.
+
+    The window is built by the kernel's rules: the listed members are the
+    sum rule on {0}, their offsets from the least element, and the tail
+    [t,∞) is the infinite ones of a negative int, as in ``_membership``;
+    ``_from_window`` cuts the result to the window, and ``validate``
+    checks the closure under S."""
     raw = text.strip().replace(" ", "")
     head: list[int] = []
     body = raw
@@ -450,23 +460,16 @@ def parse_ideal(s: NumericalSemigroup, text: str) -> RelativeIdeal:
         inner = raw[1:close]
         if inner:
             head = [int(p) for p in inner.split(",")]
-        body = raw[close + 1 :]
-        if body.startswith("∪"):
-            body = body[1:]
-    if not (body.startswith("[") and (body.endswith(",∞)") or body.endswith(",inf)"))):
+        body = raw[close + 1 :].removeprefix("∪")
+    if not (body.startswith("[") and body.endswith((",∞)", ",inf)"))):
         raise ValueError(f"expected a tail of the form [t,∞) in {text!r}")
     t = int(body[1 : body.index(",")])
-    lo = min(head) if head else t
-    lo = min(lo, t)
+    lo = min(head + [t])
     width = s.frobenius + 1
-    # lo + S holds every integer from lo + width on: those below t must be listed
+    # lo + S holds every integer from lo + width on: those below t must be
+    # listed, which also bounds t - lo by width + len(head)
     if len({z for z in head if lo + width <= z < t}) < t - lo - width:
         raise ValueError(f"not an ideal: {text!r} leaves out part of [{lo + width},{t})")
-    wmask = 0
-    for z in head:
-        k = z - lo
-        if k < width:
-            wmask |= 1 << k
-    for k in range(max(0, t - lo), width):
-        wmask |= 1 << k
-    return _from_window(s, lo, wmask).validate()
+    # a listed member past the window would only make a huge int
+    window = _or_shifts(1, [z - lo for z in head if z - lo < width]) | -1 << t - lo
+    return _from_window(s, lo, window).validate()

@@ -545,5 +545,7 @@ def enumerate_by_genus(genus: int, root: NumericalSemigroup | None = None) -> li
 
 def enumerate_up_to_genus(genus_max: int) -> Iterator[NumericalSemigroup]:
     """All semigroups of genus <= genus_max, lowest genus first."""
+    if genus_max < 0:
+        raise ValueError("genus must be nonnegative")
     for g in range(genus_max + 1):
         yield from enumerate_by_genus(g)

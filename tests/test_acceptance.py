@@ -16,6 +16,7 @@ from nslab import (
     enumerate_by_genus,
     enumerate_up_to_genus,
     enumerate_ideal_classes,
+    format_ideal,
     is_translate,
     is_ulrich,
     maximal_ideal,
@@ -173,6 +174,20 @@ def test_criterion_9_info_at_large_frobenius_numbers(capsys):
             assert data["classification"]["gorenstein"] is True
             assert data["classification"]["canonical_reduction_number"] == 0
             assert elapsed < 2.0, (gens, elapsed)
+
+
+def test_criterion_10_ideal_text_at_large_frobenius_numbers():
+    """The input path runs the same kernel: K of <3,100001> (Frobenius
+    number 199 999) goes through its text and back, and the closure
+    check, as a few shifted masks, not one step per window bit."""
+    with criterion(10, "ideal-text-large-frobenius"):
+        s = parse_semigroup("3,100001")
+        start = time.monotonic()
+        k = canonical_ideal(s)
+        parsed = parse_ideal(s, format_ideal(k)).validate()
+        elapsed = time.monotonic() - start
+        assert parsed == k
+        assert elapsed < 1.0, elapsed
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -58,6 +58,13 @@ def test_lemma_chain_at_genus_zero():
     assert report.checks_executed == 0  # no 2-generated non-principal classes
 
 
+def test_negative_genus_is_refused():
+    """The library refuses a negative genus as ``enumerate_by_genus``
+    does, rather than reporting a pass over no semigroups."""
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        run_suite("all", -1)
+
+
 def test_semigroups_checked_counts():
     report = run_suite("conductorStableAnn", 6)
     assert report.semigroups_checked == 1 + 1 + 2 + 4 + 7 + 12 + 23

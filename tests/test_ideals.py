@@ -352,6 +352,39 @@ def test_textual_parse_roundtrip():
         parse_ideal(S345, "{0,1}∪[7,∞)")
 
 
+PARSE_GENERATORS = [(1,), (2, 3), (3, 5, 7), (3, 4, 5), (4, 7, 9, 10), (5, 7, 9, 11, 13), (6, 9, 11, 14), (2, 7), (7, 8, 9)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gens=st.sampled_from(PARSE_GENERATORS), data=st.data())
+def test_parse_ideal_matches_slow_sets(gens, data):
+    """The text's set, the listed members (repeats allowed) with [t,∞),
+    is an ideal exactly when ``parse_ideal`` returns, and then the result
+    is that set; otherwise it raises ``ValueError``.  Closure is decided
+    from the generators alone, with tails up to past lo + width."""
+    s = semigroup_from_generators(gens)
+    base, w = data.draw(st.integers(-8, 8)), s.frobenius + 1
+    head = data.draw(st.lists(st.integers(base, base + w + 6), max_size=w + 6))
+    t = data.draw(st.integers(base, base + w + 8))
+    form = data.draw(st.sampled_from(["{%s}∪[%d,∞)", "{%s}[%d,inf)"]))
+    text = form % (",".join(map(str, head)), t) if head else f"[{t},∞)"
+    slow = SlowSet(head, t)
+    closed = all(z + y in slow for z in slow.members for y in brute_members(gens, t - z))
+    if closed:
+        assert agrees(parse_ideal(s, text), slow), text
+    else:
+        with pytest.raises(ValueError):
+            parse_ideal(s, text)
+
+
+def test_validate_names_the_first_member_then_the_first_generator():
+    """Members 0, 1 and 5 over <5,7,9,11,13>: 0 + 7 is the first miss of
+    the first member, though 1 + 5 = 6 is the least missing integer."""
+    e = RelativeIdeal(semigroup_from_generators([5, 7, 9, 11, 13]), 0, 0b100011)
+    with pytest.raises(ValueError, match=r"^not an ideal: 0 \+ 7 missing$"):
+        e.validate()
+
+
 @settings(derandomize=True, deadline=None)
 @given(
     m=st.integers(6, 12),

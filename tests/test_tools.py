@@ -1,8 +1,8 @@
 """tools/code_lines.py counts the lines that hold code, every name a
 module of the package imports is read in that module, every module-level
-constant of the package is read by one of its modules, no module of the
-package imports ``dataclasses``, and every source file parses as Python
-3.10."""
+constant and every private function, method and class of the package is
+read by one of its modules, no module of the package imports
+``dataclasses``, and every source file parses as Python 3.10."""
 
 import ast
 import importlib.util
@@ -104,6 +104,38 @@ def test_package_modules_read_every_constant():
     package = Path(__file__).resolve().parents[1] / "src" / "nslab"
     sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
     assert _unread_constants(sources) == []
+
+
+def _unread_private_definitions(sources: list[str]) -> list[str]:
+    """The functions, methods and classes named with a single leading
+    underscore that one of ``sources`` defines and no expression in any
+    of them reads, as a name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if re.fullmatch(r"_[^_].*", node.name):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_unread_private_definition_is_found():
+    sources = [
+        "def _a(): pass\ndef _unread(): pass\nclass _C:\n    def _m(self): pass\n"
+        "    def __init__(self): pass\ndef public(): pass\n_a()\n",
+        "import m\nm._C\nm._m = 1\n",
+    ]
+    assert _unread_private_definitions(sources) == ["_m", "_unread"]
+
+
+def test_package_modules_read_every_private_definition():
+    package = Path(__file__).resolve().parents[1] / "src" / "nslab"
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    assert _unread_private_definitions(sources) == []
 
 
 def _module_level_imports(source: str) -> set[str]:
