@@ -67,9 +67,11 @@ translates compares the pairs, and ``nslab ca`` and ``nslab ideals``
 build no view.
 ``syzygies`` lists, for each class with two minimal generators, its
 syzygy, which is its ring dual S - E built by the object kernel, and
-that syzygy's class position, and ``canred`` is read from
-``classification``.  The certificate, ``nslab ideals`` and every
-verification suite read the table.
+that syzygy's class position.  The ring-level facts (the invariants,
+K, M, the conductor, ``classification`` and ``canred``) are inherited
+from ``rings.Ring``, so each is built once per context.  The
+certificate, ``nslab ideals`` and every verification suite read the
+table.
 ``category_annihilator`` and ``duality_closure_shadow`` walk the class list
 directly and are kept as the reference the table is tested against.
 """
@@ -89,20 +91,18 @@ from .ideals import (
     RelativeIdeal,
     _class_masks,
     canonical_dual,
-    canonical_ideal,
     difference,
     format_ideal,
     intersect,
     is_reflexive,
     is_subset,
-    maximal_ideal,
     minimal_generators,
     normalization_ideal,
     ring_dual,
     trace_ideal,
     unit_ideal,
 )
-from .rings import blowup, classify, conductor_ideal
+from .rings import Ring, blowup
 
 STATUS_REGULAR = "Exact-Regular"
 STATUS_GORENSTEIN = "Exact-Gorenstein"
@@ -173,7 +173,7 @@ class _Located(dict):
         return pair
 
 
-class SemigroupContext:
+class SemigroupContext(Ring):
     """The class table of one semigroup.
 
     ``masks`` lists the normalized ideal classes once, as the class walk
@@ -202,13 +202,14 @@ class SemigroupContext:
     and ``nat`` (the normalization) are ``classes[0]`` and
     ``classes[-1]``, read from that view, so a context holds each class
     object once.  The ring-level facts, ``inv``, ``mset`` (the maximal
-    ideal), ``k`` (the canonical ideal) and ``conductor``, are built on
-    first read too, so ``nslab ideals``, which reads none of them, builds
+    ideal), ``k`` (the canonical ideal), ``conductor``, ``classification``
+    and ``canred``, are inherited from ``rings.Ring``, which builds each
+    on first read, so ``nslab ideals``, which reads none of them, builds
     no ``RelativeIdeal`` at all.
     """
 
     def __init__(self, s: NumericalSemigroup):
-        self.s = s
+        super().__init__(s)
         self.masks = _class_masks(s)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.width = s.frobenius + 1
@@ -273,12 +274,6 @@ class SemigroupContext:
         endos = self._colon_pairs(masks, mingens)
         anns = self._colon_pairs([masks[t] for t, _ in traces], [mingens[p] for p, _ in endos])
         return [(p, off + b0) for (p, b0), (_, off) in zip(anns, traces)]
-
-    # The ring-level facts, each built on first read
-    inv = cached_property(lambda self: self.s.invariants())
-    mset = cached_property(lambda self: maximal_ideal(self.s))
-    k = cached_property(lambda self: canonical_ideal(self.s))
-    conductor = cached_property(lambda self: conductor_ideal(self.s))
 
     # The views, each built on first read: ``classes`` a tuple, as
     # ``enumerate_ideal_classes`` gives it, S and the normalization its
@@ -429,14 +424,6 @@ class SemigroupContext:
         ``_packed``."""
         ext = self._packed | self._lane_windows << self.width
         return self._table(_and_shifts, ext, self._located.__getitem__, self.mingens)
-
-    @cached_property
-    def classification(self):
-        return classify(self.s)
-
-    @property
-    def canred(self) -> int:
-        return self.classification.canonical_reduction_number
 
     @cached_property
     def syzygies(self) -> list[tuple[int, RelativeIdeal, int]]:

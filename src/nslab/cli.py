@@ -73,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_info(args) -> int:
     from .ideals import _dump
-    from .rings import classify
+    from .rings import Ring
 
-    s = parse_semigroup(args.gens)
+    ring = Ring(parse_semigroup(args.gens))
     payload = {
-        "semigroup": str(s),
-        "invariants": s.invariants().to_json_dict(),
-        "classification": classify(s).to_json_dict(),
+        "semigroup": str(ring.s),
+        "invariants": ring.inv.to_json_dict(),
+        "classification": ring.classification.to_json_dict(),
     }
     print(_dump(payload))
     return 0

@@ -2,6 +2,13 @@
 Ulrich predicates, canonical reduction number and the Gorenstein-flavor
 classification.
 
+:class:`Ring` is the one builder of the ring-level facts of a semigroup
+ring: the invariants, the maximal ideal, the canonical ideal K, the
+conductor, the classification and the canonical reduction number, each
+built on first read and then kept.  ``classify``,
+``canonical_reduction_number``, ``nslab info`` and the class table
+``annihilators.SemigroupContext``, which is a ``Ring``, all read it.
+
 All predicates are exact set computations on relative ideals.  The
 classification flags form the standard hierarchy
 
@@ -12,6 +19,8 @@ with "nearly" meaning the canonical trace contains the maximal ideal and
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .semigroups import InternalError, NumericalSemigroup, _Record, _ones
 from .ideals import (
@@ -86,43 +95,64 @@ def is_ulrich(e: RelativeIdeal, i: RelativeIdeal) -> bool:
     return is_translate(e, ideal_sum(i, e)) is not None
 
 
-def canonical_reduction_number(s: NumericalSemigroup) -> int:
-    """Least n >= 0 with (n+1)K a translate of nK for the monomial
-    canonical ideal K.  Since K is normalized the translation is forced to
-    be 0, so this is plain stabilization of the power chain.  Bounded by
-    multiplicity - 1."""
-    return _stable_power(unit_ideal(s), canonical_ideal(s), s.multiplicity)[1]
-
-
 class ClassificationRecord(_Record):
     __slots__ = ("gorenstein", "almost_gorenstein", "nearly_gorenstein", "far_flung_gorenstein",
                  "canonical_reduction_number", "med", "canonical_trace", "conductor")
 
 
+class Ring:
+    """The ring-level facts of one semigroup ring, each built on first
+    read and then kept: ``inv`` (the invariants), ``mset`` (the maximal
+    ideal), ``k`` (the canonical ideal), ``conductor``, ``classification``
+    and ``canred``.  ``annihilators.SemigroupContext``, the class table,
+    is a ``Ring``, so verify builds each fact once per semigroup."""
+
+    def __init__(self, s: NumericalSemigroup):
+        self.s = s
+
+    inv = cached_property(lambda self: self.s.invariants())
+    mset = cached_property(lambda self: maximal_ideal(self.s))
+    k = cached_property(lambda self: canonical_ideal(self.s))
+    conductor = cached_property(lambda self: conductor_ideal(self.s))
+
+    @cached_property
+    def classification(self) -> ClassificationRecord:
+        """Gorenstein-flavor classification of the semigroup ring.
+
+        The almost-Gorenstein flag comes from the combinatorial
+        almost-symmetry test and is cross-checked against the maximal
+        ideal being Ulrich with respect to the canonical ideal; a mismatch
+        would be a bug, not data.  The canonical reduction number is the
+        least n >= 0 with (n+1)K a translate of nK; since K is normalized
+        the translation is forced to be 0, so this is plain stabilization
+        of the power chain, bounded by multiplicity - 1.
+        """
+        s, inv, k, m = self.s, self.inv, self.k, self.mset
+        tr = trace_ideal(k)
+        if is_ulrich(m, k) != inv.almost_symmetric:
+            raise InternalError(f"almost-symmetry test and Ulrich test disagree on <{s}>")
+
+        return ClassificationRecord(
+            gorenstein=inv.symmetric,
+            almost_gorenstein=inv.almost_symmetric,
+            nearly_gorenstein=is_subset(m, tr),
+            far_flung_gorenstein=tr == self.conductor,
+            canonical_reduction_number=_stable_power(unit_ideal(s), k, s.multiplicity)[1],
+            med=inv.med,
+            canonical_trace=tr,
+            conductor=self.conductor,
+        )
+
+    canred = property(lambda self: self.classification.canonical_reduction_number)
+
+
 def classify(s: NumericalSemigroup) -> ClassificationRecord:
-    """Gorenstein-flavor classification of the semigroup ring.
+    """Gorenstein-flavor classification of the semigroup ring, as
+    ``Ring.classification`` builds it."""
+    return Ring(s).classification
 
-    The almost-Gorenstein flag comes from the combinatorial almost-symmetry
-    test and is cross-checked against the maximal ideal being Ulrich with
-    respect to the canonical ideal; a mismatch would be a bug, not data.
-    """
-    inv = s.invariants()
-    k = canonical_ideal(s)
-    tr = trace_ideal(k)
-    cond = conductor_ideal(s)
-    m = maximal_ideal(s)
 
-    ulrich_check = is_ulrich(m, k)
-    if ulrich_check != inv.almost_symmetric:
-        raise InternalError(f"almost-symmetry test and Ulrich test disagree on <{s}>")
-
-    return ClassificationRecord(
-        gorenstein=inv.symmetric,
-        almost_gorenstein=inv.almost_symmetric,
-        nearly_gorenstein=is_subset(m, tr),
-        far_flung_gorenstein=tr == cond,
-        canonical_reduction_number=canonical_reduction_number(s),
-        med=inv.med,
-        canonical_trace=tr,
-        conductor=cond,
-    )
+def canonical_reduction_number(s: NumericalSemigroup) -> int:
+    """Least n >= 0 with (n+1)K a translate of nK for the monomial
+    canonical ideal K, as ``Ring.canred`` reads it."""
+    return Ring(s).canred

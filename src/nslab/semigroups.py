@@ -86,8 +86,8 @@ class InternalError(RuntimeError):
     """A check that a theorem guarantees failed inside the library; a bug,
     not bad input.  ``rings.InternalBoundExceeded`` (an iteration bound
     exceeded) and ``annihilators.InconsistentCertificate`` are its two
-    subclasses; ``rings.classify`` raises it as it stands when its
-    almost-symmetry and Ulrich tests disagree."""
+    subclasses; ``rings.Ring.classification`` raises it as it stands
+    when its almost-symmetry and Ulrich tests disagree."""
 
 
 def _ones(n: int) -> int:

@@ -168,7 +168,7 @@ def test_conductor_outside_maximal_ideal_is_inconsistent(monkeypatch, capsys):
     the maximal ideal; an upper bound without 10 fails it on <5,6,7>."""
     from nslab.cli import main as cli_main
 
-    monkeypatch.setattr("nslab.annihilators.maximal_ideal", lambda s: ideal_from_generators(s, [11]))
+    monkeypatch.setattr("nslab.rings.maximal_ideal", lambda s: ideal_from_generators(s, [11]))
     assert cli_main(["ca", "5,6,7"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

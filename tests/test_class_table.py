@@ -4,7 +4,8 @@ Every table entry is compared with the slow set oracles (all of them at
 genus <= 6, a seeded sample on larger semigroups), the suites are shown to
 catch a corrupted table with the witnesses of the loop versions they
 replaced, reports are pinned byte for byte, and each semigroup's classes
-are shown to be enumerated once per run.
+are shown to be enumerated once per run, and the ring-level facts built
+once per semigroup.
 """
 
 import hashlib
@@ -18,8 +19,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import nslab.annihilators as annihilators
 import nslab.ideals as ideals
+import nslab.rings as rings
 from nslab import (
     REGISTRY,
+    InternalError,
+    NumericalSemigroup,
     SemigroupContext,
     canonical_dual,
     canonical_reduction_number,
@@ -426,6 +430,16 @@ def test_corrupted_table_is_reported(table):
         assert _violations(ctx, suite), (table, suite)
 
 
+def _replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Point every nslab module attribute that holds ``original`` at
+    ``replacement``, as the bench tracer does."""
+    for name, mod in list(sys.modules.items()):
+        if name == "nslab" or name.startswith("nslab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def _count_enumerations(monkeypatch) -> Counter:
     """Count calls of the class walk ``_class_masks``, under every name
     nslab holds it."""
@@ -436,12 +450,30 @@ def _count_enumerations(monkeypatch) -> Counter:
         calls[str(s)] += 1
         return original(s)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "nslab" or name.startswith("nslab."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    _replace_everywhere(monkeypatch, original, counted)
     return calls
+
+
+def _count_ring_facts(monkeypatch) -> Counter:
+    """Count the builds of the ring-level facts: ``canonical_ideal``,
+    ``conductor_ideal`` and ``maximal_ideal`` under every name nslab holds
+    them, and ``NumericalSemigroup.invariants``."""
+    calls: Counter = Counter()
+
+    def counting(fn):
+        def counted(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return counted
+
+    for fn in (ideals.canonical_ideal, rings.conductor_ideal, ideals.maximal_ideal):
+        _replace_everywhere(monkeypatch, fn, counting(fn))
+    monkeypatch.setattr(NumericalSemigroup, "invariants", counting(NumericalSemigroup.invariants))
+    return calls
+
+
+RING_FACTS = ("canonical_ideal", "conductor_ideal", "maximal_ideal", "invariants")
 
 
 def test_verify_enumerates_each_semigroup_once(monkeypatch):
@@ -456,6 +488,34 @@ def test_ca_enumerates_once(monkeypatch, capsys):
     assert cli_main(["ca", "4,7,9,10"]) == 0
     capsys.readouterr()
     assert calls == Counter({"4,7,9,10": 1})
+
+
+def test_verify_builds_each_ring_fact_once(monkeypatch):
+    """The class table is a ``rings.Ring``: the classification and the
+    canonical reduction number read the context's K, M, conductor and
+    invariants, so verify builds each once per semigroup."""
+    calls = _count_ring_facts(monkeypatch)
+    report = run_suite("all", 5)
+    assert report.semigroups_checked == 27
+    assert calls == Counter(dict.fromkeys(RING_FACTS, 27))
+
+
+def test_info_builds_each_ring_fact_once(monkeypatch, capsys):
+    calls = _count_ring_facts(monkeypatch)
+    assert cli_main(["info", "3,5,7"]) == 0
+    capsys.readouterr()
+    assert calls == Counter(dict.fromkeys(RING_FACTS, 1))
+
+
+def test_verify_keeps_the_ulrich_cross_check(monkeypatch):
+    """The classification that verify reads still cross-checks almost
+    symmetry against M being K-Ulrich: an inverted Ulrich test is an
+    ``InternalError`` of its own, not a violation."""
+    real_is_ulrich = rings.is_ulrich
+    monkeypatch.setattr(rings, "is_ulrich", lambda e, i: not real_is_ulrich(e, i))
+    with pytest.raises(InternalError, match="disagree on <") as info:
+        run_suite("canredFacts", 3)
+    assert type(info.value) is InternalError
 
 
 @pytest.mark.parametrize("command, bound", [("ideals", 0), ("ca", 16)], ids=["ideals", "ca"])

@@ -232,13 +232,12 @@ def test_usage_error_exits_two():
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):
-    import nslab.annihilators as annihilators
     import nslab.rings as rings
     from nslab import maximal_ideal
 
     # a conductor that is not inside the category shadow: certify's lower
     # bound check fails
-    monkeypatch.setattr(annihilators, "conductor_ideal", maximal_ideal)
+    monkeypatch.setattr(rings, "conductor_ideal", maximal_ideal)
     code, out, err = run_cli(capsys, "ca", "3,5,7")
     assert code == 3
     assert out == ""
