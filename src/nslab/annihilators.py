@@ -97,7 +97,6 @@ from .ideals import (
     is_reflexive,
     is_subset,
     minimal_generators,
-    normalization_ideal,
     ring_dual,
     trace_ideal,
     unit_ideal,
@@ -476,6 +475,16 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
     from the class table, bound once in ``build``; each return names the
     fields it sets.
 
+    The exact value is the chain conductor ⊆ shadow ⊆ stable annihilator
+    of N = conductor: the conductor lies in the category shadow
+    (WangConductor), and the shadow, the intersection of every class's
+    stable annihilator, lies in N's, which is the conductor
+    (ConductorStableAnnihilator).  Both links are checked on the table
+    the shadow is built from: the first on ``category_shadow``, the
+    second on N's entry of ``stable_ann_pairs`` (N is the last class,
+    and the conductor is N moved to w).  So on any table the two pin the
+    reported shadow to the conductor, or raise.
+
     The interval is always justified by (WangConductor,
     SingularUpperBound) alone: off almost symmetry the duality closure
     fails, so a closure that holds there is an internal error.  Proof.
@@ -507,7 +516,7 @@ def certify_cohomology_annihilator(s: NumericalSemigroup) -> CaCertificate:
             f"{format_ideal(cond)} vs {format_ideal(shadow)}"
         )
 
-    if stable_annihilator(normalization_ideal(s)) != cond:
+    if ctx.stable_ann_pairs[-1] != (ctx.pos(cond), cond.min):
         raise InconsistentCertificate(
             f"stable annihilator of the normalization differs from the "
             f"conductor on <{s}>"

@@ -68,11 +68,14 @@ class RelativeIdeal(_Frozen):
 
     ``_mask`` stores membership of min + k for k in [0, width) where
     width = frobenius(parent) + 1; every integer >= min + width is a
-    member.  Bit 0 is always set (the minimum is attained).
+    member.  Bit 0 is set on every nonempty window (the minimum is
+    attained).
 
     A value of the ``semigroups._Frozen`` protocol over (parent, min,
     _mask).  ``__init__`` stores the fields through the slot descriptors
-    and then runs ``__post_init__``, the three window checks.
+    and then runs ``__post_init__``, the two window checks: bit 0 on a
+    nonempty window, and no bit past the window, which on N's empty
+    window is every bit.
     """
 
     __slots__ = ("parent", "min", "_mask")
@@ -92,12 +95,9 @@ class RelativeIdeal(_Frozen):
 
     def __post_init__(self) -> None:
         mask, width = self._mask, self.parent.frobenius + 1
-        if width == 0:
-            if mask:
-                raise ValueError("empty window must have empty mask")
-        elif not mask & 1:
+        if width and not mask & 1:
             raise ValueError("least element must be a member")
-        elif mask >> width:
+        if mask >> width:
             raise ValueError("mask has bits outside the window")
 
     def validate(self) -> "RelativeIdeal":

@@ -150,16 +150,46 @@ def test_shadow_other_than_conductor_is_inconsistent(monkeypatch, capsys):
 
 def test_normalization_annihilator_other_than_conductor_is_inconsistent(monkeypatch, capsys):
     """The stable annihilator of the normalization is the conductor; any
-    other value is an internal error, exit 3, not a violation."""
+    other value in the class table's entry for N, the last class, is an
+    internal error, exit 3, not a violation.  The entry is set to N
+    itself."""
     from nslab.cli import main as cli_main
 
-    monkeypatch.setattr("nslab.annihilators.stable_annihilator", lambda e: e)
+    table = SemigroupContext.stable_ann_pairs.func
+    monkeypatch.setattr(
+        SemigroupContext,
+        "stable_ann_pairs",
+        property(lambda ctx: table(ctx)[:-1] + [(len(ctx.masks) - 1, 0)]),
+    )
     assert cli_main(["ca", "3,5,7"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
         "internal error: stable annihilator of the normalization differs from the "
         "conductor on <3,5,7>\n"
+    )
+
+
+def test_wrong_stable_annihilator_table_is_inconsistent(monkeypatch, capsys):
+    """Every stable annihilator of <5,6,7> claimed to be [9,∞), N moved to
+    the Frobenius number: the shadow [9,∞) contains the conductor
+    [10,∞), so only N's entry, which the shadow is built from, shows the
+    table wrong, and ``ca`` stops with exit 3 instead of certifying an
+    interval beside that shadow."""
+    from nslab.cli import main as cli_main
+
+    monkeypatch.setattr(
+        SemigroupContext,
+        "stable_ann_pairs",
+        property(lambda ctx: [(len(ctx.masks) - 1, ctx.width - 1)] * len(ctx.masks)),
+    )
+    assert format_ideal(SemigroupContext(S567).category_shadow) == "[9,∞)"
+    assert cli_main(["ca", "5,6,7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal error: stable annihilator of the normalization differs from the "
+        "conductor on <5,6,7>\n"
     )
 
 

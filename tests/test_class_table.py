@@ -518,7 +518,7 @@ def test_verify_keeps_the_ulrich_cross_check(monkeypatch):
     assert type(info.value) is InternalError
 
 
-@pytest.mark.parametrize("command, bound", [("ideals", 0), ("ca", 16)], ids=["ideals", "ca"])
+@pytest.mark.parametrize("command, bound", [("ideals", 0), ("ca", 5)], ids=["ideals", "ca"])
 def test_query_builds_a_fixed_number_of_ideals(monkeypatch, capsys, command, bound):
     """``ideals`` and ``ca`` on <5,18,19,26,27> (502 classes) read the
     class table's masks and pairs: they build a few ``RelativeIdeal``s,
@@ -718,6 +718,89 @@ def test_repeated_failing_image_gives_reference_witnesses():
     got = _of_check(_violations(ctx, "traceFacts"), "traceFacts:generation-monotone")
     assert got == rec.violations
     assert [w.ideals[1] for w in got] == [format_ideal(ctx.classes[h]) for h in (1, 4, len(row) - 2)]
+
+
+# The corruptions of the gate below, each of one entry of a table of
+# n > 1 classes.  A normalized class F holds S, so F + G and a colon E - F of least
+# element 0 contain F: a correct row F of ``sums`` and the least-element-0
+# entries of column F of ``colons`` lie in up(F), the classes that
+# contain F, and S lies in up(F) only for F = S.
+
+
+def _outside_up(ctx, f):
+    mf = ctx.masks[f]
+    return [h for h, m in enumerate(ctx.masks) if m & mf != mf]
+
+
+def _image_out_of_up(ctx, rng):
+    n = len(ctx.masks)
+    f = rng.randrange(1, n)
+    ctx.sums[f][rng.randrange(n)] = rng.choice(_outside_up(ctx, f))
+
+
+def _least_zero_colon_out_of_up(ctx, rng):
+    n = len(ctx.masks)
+    f = rng.randrange(1, n)
+    ctx.colons[f][rng.choice(_outside_up(ctx, f))] = (rng.randrange(n), 0)
+
+
+def _colon_least_changed(ctx, rng):
+    n = len(ctx.masks)
+    column, e = ctx.colons[rng.randrange(n)], rng.randrange(n)
+    k, off = column[e]
+    column[e] = (k, rng.choice([x for x in range(ctx.width + 2) if x != off]))
+
+
+def _entry_at_s(ctx, rng):
+    """E + S in row E of ``sums``, or S - F in column F of ``colons``."""
+    n = len(ctx.masks)
+    i = rng.randrange(n)
+    if rng.random() < 0.5:
+        ctx.sums[i][0] = rng.choice([h for h in range(n) if h != i])
+    else:
+        k, off = ctx.colons[i][0]
+        ctx.colons[i][0] = ((k + rng.randrange(1, n)) % n, off)
+
+
+CORRUPTIONS = (_image_out_of_up, _least_zero_colon_out_of_up, _colon_least_changed, _entry_at_s)
+
+
+def test_corrupted_tables_give_reference_witnesses():
+    """The gate for rewrites of the suites that read ``sums`` and
+    ``colons``: on every semigroup of genus <= 7, <9..17> (256 classes)
+    and <5,11>, one to three corruptions of the tables, the first of each
+    semigroup cycling through ``CORRUPTIONS`` and the others drawn, and
+    colonAdjunction, traceFacts and ulrichFacts report exactly the
+    violations of the reference loops, per check and in order.  N's one
+    class takes a changed colon least element only.  Every corruption is
+    applied many times, and each check fails on some table, so the
+    comparison is not vacuous."""
+    references = [
+        ("colonAdjunction", _reference_colon_adjunction, "colonAdjunction:biconditional"),
+        ("traceFacts", _reference_generation_monotone, "traceFacts:generation-monotone"),
+        ("ulrichFacts", _reference_blowup_characterization, "ulrichFacts:blowup-characterization"),
+        ("ulrichFacts", _reference_hom_stability, "ulrichFacts:hom-stability"),
+    ]
+    rng = random.Random(20261021)
+    extra = [semigroup_from_generators(list(range(9, 18))), semigroup_from_generators([5, 11])]
+    applied, failed = Counter(), Counter()
+    for t, s in enumerate([*enumerate_up_to_genus(7), *extra]):
+        ctx = SemigroupContext(s)
+        corruptions = [CORRUPTIONS[t % len(CORRUPTIONS)]]
+        corruptions += rng.choices(CORRUPTIONS, k=rng.randrange(3))
+        for corrupt in corruptions:
+            if len(ctx.masks) == 1:
+                corrupt = _colon_least_changed
+            corrupt(ctx, rng)
+            applied[corrupt.__name__] += 1
+        got = {suite: _violations(ctx, suite) for suite in ("colonAdjunction", "traceFacts", "ulrichFacts")}
+        for suite, reference, check_id in references:
+            rec = Recorder(semigroup=str(s))
+            reference(ctx, rec)
+            assert _of_check(got[suite], check_id) == rec.violations, (str(s), check_id)
+            failed[check_id] += bool(rec.violations)
+    assert all(applied[c.__name__] >= 20 for c in CORRUPTIONS), applied
+    assert all(failed[check_id] for _, _, check_id in references), failed
 
 
 def _syzygy_corruptions(ctx):

@@ -313,7 +313,7 @@ def test_shifted_operands_match_slow_oracle():
 @pytest.mark.parametrize(
     "parent, mask, message",
     [
-        (NAT, 0b1, "empty window must have empty mask"),
+        (NAT, 0b1, "mask has bits outside the window"),
         (S357, 0b110, "least element must be a member"),
         (S357, 0b1 | 1 << S357.frobenius + 1, "mask has bits outside the window"),
     ],
