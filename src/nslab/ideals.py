@@ -26,10 +26,12 @@ It is per object, not a module-level cache keyed on (mask, generators):
 it dies with its semigroup, and hands no warm entries to a later run in
 the same process or to a forked pool worker.
 
-A sum, colon or ring dual builds one ``RelativeIdeal``, its result, and
-nothing else: ``difference`` and ``ring_dual`` share one colon core,
-``_colon``, which reads the first operand as a least element and a window
-mask, so the ring dual takes S's window without building S.  The
+A sum, colon, ring dual or trace builds one ``RelativeIdeal``, its
+result, and nothing else: ``difference`` and ``ring_dual`` share one colon
+core, ``_colon``, which reads the first operand as a least element and a
+window mask, so the ring dual takes S's window without building S, and
+``trace_ideal`` applies the colon rule and then the sum rule to windows,
+without building the ring dual.  The
 canonical dual is its definition, the colon by K: ``canonical_ideal`` is
 the one place that reflects K's window, and the class table holds K
 once, as ``k``, for its readers to pass to ``difference``.
@@ -169,7 +171,7 @@ def _from_window(parent: NumericalSemigroup, lo: int, wmask: int) -> RelativeIde
     implied all-members tail from lo + width on; relocates to the attained
     minimum."""
     width = parent.frobenius + 1
-    b0, mask = _relocate(wmask & _ones(width), width)
+    b0, mask = _relocate(wmask & (1 << width) - 1, width)
     return RelativeIdeal(parent, lo + b0, mask)
 
 
@@ -222,7 +224,8 @@ def is_translate(e: RelativeIdeal, f: RelativeIdeal) -> int | None:
 
 
 def is_subset(e: RelativeIdeal, f: RelativeIdeal) -> bool:
-    _check_parents(e, f)
+    if e.parent is not f.parent:
+        _check_parents(e, f)
     if e.min < f.min:
         return False  # min(e) is attained and below f entirely
     width = e.parent.frobenius + 1
@@ -234,9 +237,10 @@ def sum(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     of the g + S over its minimal generators g, so e + f is the union of
     the translates g + f, the OR of f's mask shifted by each generator
     offset; the tail of each translate lies past the window."""
-    _check_parents(e, f)
+    if e.parent is not f.parent:
+        _check_parents(e, f)
     s = e.parent
-    wmask = _or_shifts(f._mask, s._generator_offsets(e._mask)) & _ones(s.frobenius + 1)
+    wmask = _or_shifts(f._mask, s._generator_offsets(e._mask)) & (1 << s.frobenius + 1) - 1
     return RelativeIdeal(s, e.min + f.min, wmask)
 
 
@@ -257,7 +261,8 @@ def difference(e: RelativeIdeal, f: RelativeIdeal) -> RelativeIdeal:
     forced tail: once z + min(f) reaches the tail of e, every constraint
     is satisfied automatically.
     """
-    _check_parents(e, f)
+    if e.parent is not f.parent:
+        _check_parents(e, f)
     return _colon(e.min, e._mask, f)
 
 
@@ -309,8 +314,19 @@ def ring_dual(e: RelativeIdeal) -> RelativeIdeal:
 
 def trace_ideal(e: RelativeIdeal) -> RelativeIdeal:
     """The trace E + (S - E): the ideal of S generated by images of maps
-    from E to S.  Always a subset of S; equals S exactly for principal E."""
-    return sum(e, ring_dual(e))
+    from E to S.  Always a subset of S; equals S exactly for principal E.
+
+    The composition ``sum(e, ring_dual(e))`` in one step, building one
+    ``RelativeIdeal``: the colon rule on S's window by E's generator
+    offsets gives the ring dual's window from -min E, relocated to its
+    least element; the sum rule by the same offsets gives the trace's
+    window, whose least element is E's plus the dual's."""
+    s = e.parent
+    width = s.frobenius + 1
+    full, gens = (1 << width) - 1, s._generator_offsets(e._mask)
+    b0, dual = _relocate(_and_shifts(s._mask | -1 << width, gens) & full, width)
+    dual_min = b0 - e.min
+    return RelativeIdeal(s, e.min + dual_min, _or_shifts(dual, gens) & full)
 
 
 def is_reflexive(e: RelativeIdeal) -> bool:

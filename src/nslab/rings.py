@@ -79,7 +79,7 @@ def blowup(e: RelativeIdeal) -> RelativeIdeal:
     the powers are still growing.)  The chain grows fewer than
     max(multiplicity, genus + 2) times.
     """
-    e0 = normalize(e)[0]
+    e0 = e if e.min == 0 else normalize(e)[0]
     s = e.parent
     return _stable_power(e0, e0, max(s.multiplicity, s.genus + 2))[0]
 

@@ -168,6 +168,19 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 # ideal-calculus facts
 
 
+def _up_sets(covers: list[list[int]]) -> list[int]:
+    """up(F) = {E : F inside E} as a bitset over class positions, for
+    each class F: one reverse pass that ORs each class's up-set into
+    those of its lower covers, the mirror of the ``sub`` pass of
+    ``suite_colon_adjunction``.  A cover comes before its class, so a
+    class's up-set is complete when the pass reaches it."""
+    ups = [1 << ei for ei in range(len(covers))]
+    for ei in reversed(range(len(covers))):
+        for c in covers[ei]:
+            ups[c] |= ups[ei]
+    return ups
+
+
 def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     """G inside E - F exactly when G + F inside E, over all class triples.
 
@@ -188,6 +201,19 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     popcount, and one forward pass per F builds the list.  The mismatching
     G are the witnesses, sorted back from F-major order to ascending
     (E, F, G).
+
+    On correct tables both sides vanish off up(F), the classes that
+    contain F (the poset of Bonzio and García-Sánchez): F + G contains F,
+    as 0 is in G, and E - F holds 0 exactly when F lies inside E.  A class
+    inside one outside up(F) is outside up(F) too.  So for each F the
+    forward pass first runs on up(F) alone (``_up_sets``), and tests on
+    the tables that this is enough: column F has as many least-element-0
+    colons as up(F) has classes, each colon at up(F) has least element 0
+    and a colon side equal to the sum side, and the preimage bitsets over
+    up(F) hold all n classes G.  Then both sides are equal everywhere.
+    An F that fails any of these takes the full pass over every E, which
+    names the witnesses, so they and their order do not depend on the
+    shortcut.
     """
     classes, covers = ctx.classes, ctx.covers
     nc = len(classes)
@@ -202,11 +228,31 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
         return sets
 
     sub = down([1 << ei for ei in range(nc)])
+    ups = _up_sets(covers)
     mismatches = []
     for fi, (sums_row, column) in enumerate(zip(ctx.sums, ctx.colons)):
         pre = [0] * nc
         for gi, hi in enumerate(sums_row):
             pre[hi] |= 1 << gi
+        up = _bit_indices(ups[fi])
+        if [off for _, off in column].count(0) == len(up):
+            # the forward pass on up(F) alone; ``images`` counts the G
+            # whose image F + G lies in up(F)
+            images = 0
+            for ei in up:
+                k, off = column[ei]
+                acc = pre[ei]
+                images += acc.bit_count()
+                for c in covers[ei]:
+                    acc |= pre[c]
+                pre[ei] = acc
+                if off or sub[k] != acc:
+                    break
+            else:
+                if images == nc:
+                    continue
+        # the full pass; a bitset that the pass on up(F) closed already
+        # stays as it is, since it lies inside its class's closure
         in_e = down(pre)
         in_colon = [sub[k] if off == 0 else 0 for k, off in column]
         if in_colon != in_e:
@@ -464,6 +510,16 @@ def suite_trace_criterion(ctx: SemigroupContext, rec: Recorder) -> None:
 # Ulrich / blowup / reduction facts
 
 
+def _modules(ctx: SemigroupContext, t: int) -> int:
+    """Bitset of the classes E with T + E == E, for the class T at
+    position t: the sum rule by T's generators on every lane of the
+    packed masks at once, each lane compared with E's mask.  It does not
+    read the sum table, so ``suite_ulrich_facts`` cross-checks the table
+    with it."""
+    lanes = ctx._lanes(_or_shifts(ctx._packed, ctx.mingens[t]))
+    return sum(1 << ei for ei, (lane, m) in enumerate(zip(lanes, ctx.masks)) if lane == m)
+
+
 def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     """Ulrich characterizations: via the blowup, via the two duals, the
     Hom-stability, the canonical powers, the normalization, and the
@@ -472,12 +528,14 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     E is I-Ulrich when I + E is a translate of E; on normalized classes
     that is ``sums[i][e] == e``.  For each I the I-Ulrich classes form a
     bitset.  The blowup characterization compares it with the classes
-    that are modules over the blowup of I, tested on masks, not read from
-    the sum table, so that it cross-checks the table.  Hom-stability
-    compares it with the classes of the colons F - E over all F.  The
-    canonical powers nK are walked along the row of K from S = 0K.  Two
-    ideals are translates exactly when they share a class, so the dual
-    and trace comparisons read class positions from the pair lists.
+    that are modules over the blowup T of I, ``_modules``: one lane pass
+    of the sum rule by T's generators over the packed class masks, once
+    per distinct T, not read from the sum table, so that it cross-checks
+    the table.  Hom-stability compares it with the classes of the colons
+    F - E over all F.  The canonical powers nK are walked along the row
+    of K from S = 0K.  Two ideals are translates exactly when they share
+    a class, so the dual and trace comparisons read class positions from
+    the pair lists.
     """
     classes = ctx.classes
     sums, colons = ctx.sums, ctx.colons
@@ -513,10 +571,6 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             translate_dual,
         )
 
-    masks, full = ctx.masks, ctx.full
-    # modules[t]: bitset of the classes E with T + E == E, the OR of E's
-    # mask shifted by T's generators, once per distinct blowup class t;
-    # the sum table is not read, so this cross-checks it
     modules = {}
     # colon_cols[e]: bitset of the classes of F - E over all F, read from
     # column E of the colon table
@@ -525,10 +579,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         ulrich = sum(1 << ei for ei, hi in enumerate(sums_i) if hi == ei)
         t = ctx.pos(bl)
         if t not in modules:
-            gens = ctx.mingens[t]
-            modules[t] = sum(
-                1 << ei for ei, m in enumerate(masks) if _or_shifts(m, gens) & full == m
-            )
+            modules[t] = _modules(ctx, t)
         for ei in _bit_indices(ulrich ^ modules[t]):
             u = bool(ulrich >> ei & 1)
             rec.fail(

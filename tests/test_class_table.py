@@ -46,7 +46,7 @@ from nslab import (
 from nslab.cli import main as cli_main
 from nslab.harness import emit_report
 from nslab.ideals import sum as ideal_sum
-from nslab.suites import Recorder
+from nslab.suites import Recorder, _modules, _up_sets
 
 from oracles import (
     SlowSet,
@@ -325,6 +325,33 @@ def test_covers_are_each_class_minus_a_nonzero_generator():
             closure.append(acc)
         inclusion = [sum(1 << h for h, mh in enumerate(masks) if mh & ~m == 0) for m in masks]
         assert closure == inclusion, label
+
+
+def test_up_sets_are_the_classes_containing_each_class():
+    """On every semigroup of genus <= 8, the up-sets that colonAdjunction
+    builds by its reverse pass over ``covers`` are up(F) = {E : F inside
+    E}, found by testing inclusion of the masks."""
+    for s in enumerate_up_to_genus(8):
+        ctx = SemigroupContext(s)
+        masks = ctx.masks
+        brute = [sum(1 << e for e, me in enumerate(masks) if mf & ~me == 0) for mf in masks]
+        assert _up_sets(ctx.covers) == brute, str(s)
+
+
+def test_blowup_modules_match_slow_oracle():
+    """On every semigroup of genus <= 7 and on <9..17>, the lane pass of
+    ulrichFacts gives, for each distinct blowup class T, exactly the
+    classes E with T + E = E, computed on the slow sets; T = S gives
+    every class, and the others are counted to show they occur."""
+    proper = 0
+    for s in [*enumerate_up_to_genus(7), semigroup_from_generators(list(range(9, 18)))]:
+        ctx = SemigroupContext(s)
+        slow = [from_ideal(e) for e in ctx.classes]
+        for t in sorted({ctx.pos(b) for b in ctx.blowups}):
+            brute = sum(1 << e for e, a in enumerate(slow) if slow_sum(slow[t], a).same_set(a))
+            assert _modules(ctx, t) == brute, (str(s), t)
+            proper += brute.bit_count() < len(slow)
+    assert proper
 
 
 def test_verify_holds_s_and_n_once():
@@ -801,6 +828,25 @@ def test_corrupted_tables_give_reference_witnesses():
             failed[check_id] += bool(rec.violations)
     assert all(applied[c.__name__] >= 20 for c in CORRUPTIONS), applied
     assert all(failed[check_id] for _, _, check_id in references), failed
+
+
+def test_least_zero_colon_moved_out_of_up_gives_reference_witnesses():
+    """One column F with its count of least-element-0 colons unchanged:
+    F - F (in up(F)) given least element 1, and S - F (outside up(F))
+    given least element 0.  The comparison on up(F) alone still passes,
+    so only the test that every colon at up(F) has least element 0 sends
+    F to the full pass; colonAdjunction reports the reference witnesses
+    on every semigroup of genus <= 5 but N."""
+    for s in enumerate_up_to_genus(5):
+        ctx = SemigroupContext(s)
+        if len(ctx.masks) == 1:
+            continue
+        column = ctx.colons[1]
+        column[1], column[0] = (column[1][0], 1), (column[0][0], 0)
+        rec = Recorder(semigroup=str(s))
+        _reference_colon_adjunction(ctx, rec)
+        assert rec.violations, str(s)
+        assert _violations(ctx, "colonAdjunction") == rec.violations, str(s)
 
 
 def _syzygy_corruptions(ctx):

@@ -289,6 +289,8 @@ def test_operations_match_slow_oracle():
 
 
 def test_shifted_operands_match_slow_oracle():
+    from nslab import enumerate_up_to_genus
+
     shifts = (-6, -1, 2, 9)
     classes = list(enumerate_ideal_classes(S357))
     frob = S357.frobenius
@@ -308,6 +310,15 @@ def test_shifted_operands_match_slow_oracle():
                     a, b = translate(e, xe), translate(f, xf)
                     assert agrees(sum_ideals(a, b), slow_sum(from_ideal(a), from_ideal(b)))
                     assert agrees(difference(a, b), slow_colon(from_ideal(a), from_ideal(b)))
+    # the trace in one step, on every class of genus <= 6 at the shifts
+    # of traceFacts' translation check, against the two slow rules
+    for s in enumerate_up_to_genus(6):
+        w, s_set = s.frobenius + 1, from_ideal(unit_ideal(s))
+        for e in enumerate_ideal_classes(s):
+            for x in (-w - 1, -1, 1, w + 1):
+                slow_a = from_ideal(translate(e, x))
+                want = slow_sum(slow_a, slow_colon(s_set, slow_a))
+                assert agrees(trace_ideal(translate(e, x)), want), (str(s), e, x)
 
 
 @pytest.mark.parametrize(
