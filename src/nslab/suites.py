@@ -171,14 +171,29 @@ def suite_semigroup_facts(ctx: SemigroupContext, rec: Recorder) -> None:
 def _up_sets(covers: list[list[int]]) -> list[int]:
     """up(F) = {E : F inside E} as a bitset over class positions, for
     each class F: one reverse pass that ORs each class's up-set into
-    those of its lower covers, the mirror of the ``sub`` pass of
-    ``suite_colon_adjunction``.  A cover comes before its class, so a
+    those of its lower covers.  A cover comes before its class, so a
     class's up-set is complete when the pass reaches it."""
     ups = [1 << ei for ei in range(len(covers))]
     for ei in reversed(range(len(covers))):
         for c in covers[ei]:
             ups[c] |= ups[ei]
     return ups
+
+
+def _adjunction_witnesses(fi: int, sums_row: list[int], column: list, sub: list[int]) -> list:
+    """The witnesses (E, F, G, G in E - F, G + F in E), as class
+    positions and two flags, for each E and G where the two sides differ
+    at the class F of position fi, by their definitions: G lies in E - F
+    when that colon has least element 0 and G lies in its class, and
+    G + F lies in E when its class does."""
+    witnesses = []
+    for ei, (k, off) in enumerate(column):
+        in_colon, in_e = (sub[k] if off == 0 else 0), sub[ei]
+        for gi, hi in enumerate(sums_row):
+            want, got = bool(in_colon >> gi & 1), bool(in_e >> hi & 1)
+            if want != got:
+                witnesses.append((ei, fi, gi, want, got))
+    return witnesses
 
 
 def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
@@ -198,36 +213,28 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
     So the sum side of E is pre_F[E] ORed with those of its covers,
     and ``sub[E]`` is E's own bit ORed with theirs.  A cover has one
     member fewer, so it comes first in the class list, which is sorted by
-    popcount, and one forward pass per F builds the list.  The mismatching
-    G are the witnesses, sorted back from F-major order to ascending
-    (E, F, G).
+    popcount, and one forward pass builds each list.
 
     On correct tables both sides vanish off up(F), the classes that
     contain F (the poset of Bonzio and García-Sánchez): F + G contains F,
     as 0 is in G, and E - F holds 0 exactly when F lies inside E.  A class
     inside one outside up(F) is outside up(F) too.  So for each F the
-    forward pass first runs on up(F) alone (``_up_sets``), and tests on
-    the tables that this is enough: column F has as many least-element-0
+    forward pass runs on up(F) alone (``_up_sets``), and tests on the
+    tables that this is enough: column F has as many least-element-0
     colons as up(F) has classes, each colon at up(F) has least element 0
     and a colon side equal to the sum side, and the preimage bitsets over
     up(F) hold all n classes G.  Then both sides are equal everywhere.
-    An F that fails any of these takes the full pass over every E, which
-    names the witnesses, so they and their order do not depend on the
-    shortcut.
+    An F that fails any of these is named by ``_adjunction_witnesses``,
+    the two sides by their definitions over every E and G, so the
+    witnesses do not depend on the shortcut.  They are sorted back from
+    F-major order to ascending (E, F, G).
     """
     classes, covers = ctx.classes, ctx.covers
     nc = len(classes)
-
-    def down(sets: list[int]) -> list[int]:
-        """OR into each class's bitset those of the classes inside it."""
-        for ei, below in enumerate(covers):
-            acc = sets[ei]
-            for c in below:
-                acc |= sets[c]
-            sets[ei] = acc
-        return sets
-
-    sub = down([1 << ei for ei in range(nc)])
+    sub = [1 << ei for ei in range(nc)]
+    for ei, below in enumerate(covers):
+        for c in below:
+            sub[ei] |= sub[c]
     ups = _up_sets(covers)
     mismatches = []
     for fi, (sums_row, column) in enumerate(zip(ctx.sums, ctx.colons)):
@@ -251,16 +258,7 @@ def suite_colon_adjunction(ctx: SemigroupContext, rec: Recorder) -> None:
             else:
                 if images == nc:
                     continue
-        # the full pass; a bitset that the pass on up(F) closed already
-        # stays as it is, since it lies inside its class's closure
-        in_e = down(pre)
-        in_colon = [sub[k] if off == 0 else 0 for k, off in column]
-        if in_colon != in_e:
-            mismatches += [
-                (ei, fi, gi, bool(want >> gi & 1), bool(got >> gi & 1))
-                for ei, (want, got) in enumerate(zip(in_colon, in_e))
-                for gi in _bit_indices(want ^ got)
-            ]
+        mismatches += _adjunction_witnesses(fi, sums_row, column, sub)
     for ei, fi, gi, want, got in sorted(mismatches):
         rec.fail(
             "colonAdjunction:biconditional",

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 import nslab.annihilators as annihilators
 import nslab.ideals as ideals
 import nslab.rings as rings
+import nslab.suites as suites
 from nslab import (
     REGISTRY,
     InternalError,
@@ -835,7 +836,7 @@ def test_least_zero_colon_moved_out_of_up_gives_reference_witnesses():
     F - F (in up(F)) given least element 1, and S - F (outside up(F))
     given least element 0.  The comparison on up(F) alone still passes,
     so only the test that every colon at up(F) has least element 0 sends
-    F to the full pass; colonAdjunction reports the reference witnesses
+    F to the witness loop; colonAdjunction reports the reference witnesses
     on every semigroup of genus <= 5 but N."""
     for s in enumerate_up_to_genus(5):
         ctx = SemigroupContext(s)
@@ -847,6 +848,21 @@ def test_least_zero_colon_moved_out_of_up_gives_reference_witnesses():
         _reference_colon_adjunction(ctx, rec)
         assert rec.violations, str(s)
         assert _violations(ctx, "colonAdjunction") == rec.violations, str(s)
+
+
+def test_correct_tables_never_reach_the_witness_loop(monkeypatch):
+    """On correct tables every F passes the up(F) tests, so the n^2 witness
+    loop never runs: with it replaced by one that raises, colonAdjunction
+    holds on every semigroup of genus <= 8 and on <9..17>.  A shortcut
+    that always failed would still give the right witnesses, at n^3 Python
+    steps per semigroup, and only this test would see it."""
+
+    def unreachable(fi, sums_row, column, sub):
+        raise AssertionError(f"witness loop reached for F at position {fi}")
+
+    monkeypatch.setattr(suites, "_adjunction_witnesses", unreachable)
+    for s in [*enumerate_up_to_genus(8), semigroup_from_generators(list(range(9, 18)))]:
+        assert _violations(SemigroupContext(s), "colonAdjunction") == [], str(s)
 
 
 def _syzygy_corruptions(ctx):
