@@ -8,6 +8,11 @@ and checks to the totals as it arrives, in enumeration order, so report
 content does not depend on the number of jobs; the wall time is the only
 field outside the determinism contract and is excluded from the JSON
 form.
+
+The pool starts one worker per CPU this process may use, at most one per
+job and per semigroup.  Each worker starts on a CPU of its own and is then
+released to the whole set: forked workers otherwise start on the parent's
+CPU, where the scheduler leaves them for the length of a short run.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import io
 import os
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, closing
 from functools import partial
 
 from .semigroups import NumericalSemigroup, _Record, enumerate_up_to_genus, parse_semigroup
@@ -68,6 +73,13 @@ def run_on_semigroup(names: tuple[str, ...], s: NumericalSemigroup) -> Recorder:
     return rec
 
 
+def _place(cpus: set[int], free) -> None:
+    """Pool worker initializer: move onto a CPU that no other worker took
+    from ``free``, then let the scheduler move the worker again."""
+    os.sched_setaffinity(0, {free.get()})
+    os.sched_setaffinity(0, cpus)
+
+
 def run_suite(
     suite: str,
     genus_max: int,
@@ -77,8 +89,9 @@ def run_suite(
     """Execute a suite (or "all") over every semigroup of genus at most
     genus_max.  Report content is independent of ``jobs``; with fail_fast
     the run stops after the first semigroup that produces a violation.
-    The pool starts min(jobs, number of semigroups, CPU count) workers,
-    and none when that is 1."""
+    The pool starts min(jobs, number of semigroups, CPUs this process may
+    use) workers, and none when that is 1; each worker starts on a CPU of
+    its own and is then free to move."""
     names = suite_names(suite)
     start = time.monotonic()
     semigroups = list(enumerate_up_to_genus(genus_max))
@@ -87,14 +100,28 @@ def run_suite(
     violations: list[Witness] = []
     informational: list[Witness] = []
     checks = semigroups_checked = 0
-    workers = min(jobs, len(semigroups), os.cpu_count() or 1)
-    pool_cm = nullcontext()
-    if workers > 1:
-        # imported here: it loads multiprocessing, which in-process runs never use
-        from concurrent.futures import ProcessPoolExecutor
+    # no affinity calls on macOS and Windows: there the pool starts unplaced
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    usable = len(cpus) if cpus is not None else os.cpu_count() or 1
+    workers = min(jobs, len(semigroups), usable)
+    pool = None
+    with ExitStack() as stack:
+        if workers > 1:
+            # imported here: they load multiprocessing, which in-process runs never use
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool_cm = ProcessPoolExecutor(max_workers=workers)
-    with pool_cm as pool:
+            place = {}
+            if cpus is not None:
+                from multiprocessing import SimpleQueue
+
+                # one CPU per worker, and without max_tasks_per_child the pool
+                # starts no more, so _place never waits; entered before the
+                # pool, so it is closed after the pool has exited
+                free = stack.enter_context(closing(SimpleQueue()))
+                for cpu in sorted(cpus)[:workers]:
+                    free.put(cpu)
+                place = {"initializer": _place, "initargs": (cpus, free)}
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, **place))
         if pool is None:
             recs = map(run, semigroups)
         else:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 import time
 
 import pytest
@@ -97,14 +98,23 @@ def test_parallel_matches_serial():
 
 
 def test_jobs_capped_at_cpus_and_semigroups(monkeypatch):
-    """The pool is asked for at most min(jobs, CPU count, semigroups)
-    workers.  It is replaced by an in-process stand-in that records the
-    count, so no process is started."""
+    """The pool is asked for at most min(jobs, CPUs this process may use,
+    semigroups) workers, and each worker takes a CPU of its own from the
+    set.  The pool is replaced by an in-process stand-in that records the
+    count and runs the initializer once per worker, so no process is
+    started and no affinity is changed."""
     workers = []
+    placed = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             workers.append(max_workers)
+            if initializer is not None:
+                cpus, free = initargs
+                for _ in range(max_workers):
+                    assert not free.empty()  # a worker never waits for its CPU
+                    initializer(cpus, free)
+                assert free.empty()  # and no CPU is left over
 
         def __enter__(self):
             return self
@@ -116,19 +126,71 @@ def test_jobs_capped_at_cpus_and_semigroups(monkeypatch):
             assert chunksize >= 1
             return map(fn, items)
 
+    def started_on(cpus):
+        """The CPU each placed worker started on, checking that it was then
+        released to the whole set."""
+        assert all(later == cpus for later in placed[1::2])
+        first = [cpu for (cpu,) in placed[::2]]
+        placed.clear()
+        return first
+
     # run_suite imports the pool class from concurrent.futures when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    # raising=False: the stand-ins also run where os has no affinity calls
+    monkeypatch.setattr(
+        harness.os, "sched_setaffinity", lambda pid, cpus: placed.append(set(cpus)), raising=False
+    )
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     capped = run_suite("canredFacts", 4, jobs=10**6)
     assert workers == [3]
+    assert sorted(started_on({0, 2, 5})) == [0, 2, 5]
     assert emit_report(capped, "json") == emit_report(run_suite("canredFacts", 4), "json")
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
     run_suite("canredFacts", 2, jobs=10**6)
     assert workers == [3, 4]  # genus <= 2 has 4 semigroups
-    # an unknown CPU count runs in process
+    first = started_on(set(range(64)))
+    assert len(set(first)) == 4 and set(first) <= set(range(64))
+    # without affinity calls (macOS, Windows) an unknown CPU count runs in
+    # process, and a known one caps a pool whose workers start unplaced
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     run_suite("canredFacts", 2, jobs=8)
     assert workers == [3, 4]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    run_suite("canredFacts", 2, jobs=8)
+    assert workers == [3, 4, 3]
+    assert placed == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls on this OS")
+def test_place_leaves_the_full_set_and_an_empty_queue():
+    """The initializer, run here in process, takes its CPU from the queue
+    and ends with the affinity set it was given."""
+    from multiprocessing import SimpleQueue
+
+    cpus = os.sched_getaffinity(0)
+    free = SimpleQueue()
+    try:
+        free.put(max(cpus))
+        harness._place(cpus, free)
+        assert os.sched_getaffinity(0) == cpus
+        assert free.empty()
+    finally:
+        os.sched_setaffinity(0, cpus)
+        free.close()
+
+
+def test_one_cpu_runs_in_process(monkeypatch):
+    """With one CPU in the affinity set, ``--jobs 2`` builds no pool and
+    writes the bytes of ``--jobs 1``."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    report = run_suite("all", 4, jobs=2)
+    assert emit_report(report, "json") == emit_report(run_suite("all", 4, jobs=1), "json")
 
 
 def test_text_and_csv_formats():
