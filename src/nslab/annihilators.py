@@ -45,7 +45,9 @@ step), with no object kernel call and no ``RelativeIdeal`` per class:
   * ``sums`` and ``colons``: the two rules for every pair of classes,
     on every class at once, each class's mask in a lane of 64-bit words
     of one integer, ``_packed``, packed once per context and read back
-    with one ``struct.unpack``.
+    with one ``struct.unpack``;
+  * ``modules(t)``: the classes E with T + E = E for the class T at t,
+    one lane pass of the sum rule that does not read ``sums``.
 Two maps read a window mask back.  ``index`` gives the position of a
 class window, for ``sums``, ``trace_pairs``, ``covers`` and ``pos``,
 whose windows are class windows already; a position read from it is
@@ -350,11 +352,11 @@ class SemigroupContext(Ring):
         not.  So the classes inside E are E and those inside its covers."""
         return [[self.index[m ^ 1 << x] for x in gens[1:]] for m, gens in zip(self.masks, self.mingens)]
 
-    # ``mingens`` and the two tables shift every class at once: ``_packed``
-    # holds class j's mask in lane j of one integer, packed once per
-    # context, a lane being ``_words`` = ceil(2w / 64) little-endian 64-bit
-    # words, and at least one, so that the empty window of N is a lane like
-    # any other.  A lane of 2w bits or more holds a window shifted up by
+    # ``mingens``, the two tables and ``modules`` shift every class at
+    # once: ``_packed`` holds class j's mask in lane j of one integer,
+    # packed once per context, a lane being ``_words`` = ceil(2w / 64)
+    # little-endian 64-bit words, and at least one, so that the empty
+    # window of N is a lane like any other.  A lane of 2w bits or more holds a window shifted up by
     # less than w, or a window extended by w tail bits (``colons`` ORs in
     # ``_lane_windows`` shifted up by w), so a shift by a generator offset
     # moves no bit into the window of another lane.  ``_lanes`` reads every
@@ -407,6 +409,14 @@ class SemigroupContext(Ring):
         if "sums" in self.__dict__:
             return self.sums[i]
         return self._table(_or_shifts, self._packed, self.index.__getitem__, [self.mingens[i]])[0]
+
+    def modules(self, t: int) -> int:
+        """Bitset of the classes E with T + E == E, for the class T at
+        position t: the sum rule by T's generators on every lane at once,
+        each lane compared with E's mask.  It does not read ``sums``, so
+        ``suites.suite_ulrich_facts`` cross-checks the table with it."""
+        lanes = self._lanes(_or_shifts(self._packed, self.mingens[t]))
+        return sum(1 << ei for ei, (lane, m) in enumerate(zip(lanes, self.masks)) if lane == m)
 
     @cached_property
     def colons(self) -> list[list[tuple[int, int]]]:

@@ -9,12 +9,15 @@ Subcommands:
   verify    run a verification suite over an enumeration range
 
 Exit codes: 0 on success / pass, 1 when a verify run found violations,
-2 on usage or input errors (any ``ValueError``) or an ``--out`` file that
-cannot be written, reported as one ``error:`` line on stderr, 3 when an
-internal consistency check fails (``semigroups.InternalError``, a bug,
-reported as one ``internal error:`` line on stderr), 141 when stdout is
-closed before the output is written, as by ``| head`` (the code a shell
-gives a process that SIGPIPE ended; nothing is printed).
+2 on usage or input errors (any ``ValueError``) or any OS error, such as
+an ``--out`` file that cannot be written or a full disk under stdout,
+reported as one ``error:`` line on stderr, 3 on any ``RuntimeError``: an
+internal consistency check that fails (``semigroups.InternalError``, a
+bug) or a verify pool worker that dies, reported as one ``internal
+error:`` line on stderr, 141 when stdout is closed before the output is
+written, as by ``| head`` (the code a shell gives a process that SIGPIPE
+ended; nothing is printed).  ``main`` is the only code that turns an
+exception into an exit code.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import os
 import sys
 from functools import cache
 
-from .semigroups import InternalError, NumericalSemigroup, enumerate_by_genus, parse_semigroup
+from .semigroups import NumericalSemigroup, enumerate_by_genus, parse_semigroup
 
 # Each handler imports the modules it runs, so that a command loads only
 # those: ``enumerate`` needs nothing past ``semigroups``, and no query
@@ -149,7 +152,7 @@ def _cmd_ideals(args) -> int:
             zip(ctx.mingens, ctx.reflexive, ctx.trace_pairs, ctx.stable_ann_pairs)
         )
     ]
-    print("[\n" + ",\n".join(rows) + "\n]")
+    print("[", ",\n".join(rows), "]", sep="\n")
     return 0
 
 
@@ -175,12 +178,8 @@ def _cmd_verify(args) -> int:
     )
     blob = emit_report(report, args.format)
     if args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(blob)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.out, "wb") as fh:
+            fh.write(blob)
     else:
         sys.stdout.write(blob.decode("utf-8"))
     return 0 if report.passed else 1
@@ -198,17 +197,18 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except BrokenPipeError:
+    except BrokenPipeError:  # before OSError, which it is
         # The reader is gone: point stdout at devnull so that the flush at
         # exit does not fail again (the recipe of the ``signal`` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # InternalError, and the BrokenProcessPool of a dead pool worker
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

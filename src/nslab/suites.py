@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .annihilators import SemigroupContext, stable_annihilator
-from .semigroups import _Record, _bit_indices, _membership, _or_shifts, enumerate_by_genus
+from .semigroups import _Record, _bit_indices, _membership, enumerate_by_genus
 from .ideals import (
     difference,
     format_ideal,
@@ -508,16 +508,6 @@ def suite_trace_criterion(ctx: SemigroupContext, rec: Recorder) -> None:
 # Ulrich / blowup / reduction facts
 
 
-def _modules(ctx: SemigroupContext, t: int) -> int:
-    """Bitset of the classes E with T + E == E, for the class T at
-    position t: the sum rule by T's generators on every lane of the
-    packed masks at once, each lane compared with E's mask.  It does not
-    read the sum table, so ``suite_ulrich_facts`` cross-checks the table
-    with it."""
-    lanes = ctx._lanes(_or_shifts(ctx._packed, ctx.mingens[t]))
-    return sum(1 << ei for ei, (lane, m) in enumerate(zip(lanes, ctx.masks)) if lane == m)
-
-
 def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     """Ulrich characterizations: via the blowup, via the two duals, the
     Hom-stability, the canonical powers, the normalization, and the
@@ -526,7 +516,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
     E is I-Ulrich when I + E is a translate of E; on normalized classes
     that is ``sums[i][e] == e``.  For each I the I-Ulrich classes form a
     bitset.  The blowup characterization compares it with the classes
-    that are modules over the blowup T of I, ``_modules``: one lane pass
+    that are modules over the blowup T of I, ``ctx.modules``: one lane pass
     of the sum rule by T's generators over the packed class masks, once
     per distinct T, not read from the sum table, so that it cross-checks
     the table.  Hom-stability compares it with the classes of the colons
@@ -569,6 +559,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
             translate_dual,
         )
 
+    rec.checks += len(classes) ** 2  # the blowup characterization, each (E, I)
     modules = {}
     # colon_cols[e]: bitset of the classes of F - E over all F, read from
     # column E of the colon table
@@ -577,7 +568,7 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
         ulrich = sum(1 << ei for ei, hi in enumerate(sums_i) if hi == ei)
         t = ctx.pos(bl)
         if t not in modules:
-            modules[t] = _modules(ctx, t)
+            modules[t] = ctx.modules(t)
         for ei in _bit_indices(ulrich ^ modules[t]):
             u = bool(ulrich >> ei & 1)
             rec.fail(
@@ -587,13 +578,12 @@ def suite_ulrich_facts(ctx: SemigroupContext, rec: Recorder) -> None:
                 u,
                 not u,
             )
-        rec.checks += len(classes)
         if ii == 0:
             continue  # every module is S-Ulrich; Hom-stability says nothing
         # F - E is I-Ulrich for every F exactly when E's colon column lies
         # inside the I-Ulrich classes; the first F that is not is the witness
+        rec.checks += ulrich.bit_count()
         for ei in _bit_indices(ulrich):
-            rec.checks += 1
             if colon_cols[ei] & ~ulrich == 0:
                 continue
             fi, (hi, hmin) = next((f, c) for f, c in enumerate(colons[ei]) if not ulrich >> c[0] & 1)

@@ -47,7 +47,7 @@ from nslab import (
 from nslab.cli import main as cli_main
 from nslab.harness import emit_report
 from nslab.ideals import sum as ideal_sum
-from nslab.suites import Recorder, _modules, _up_sets
+from nslab.suites import Recorder, _up_sets
 
 from oracles import (
     SlowSet,
@@ -340,17 +340,18 @@ def test_up_sets_are_the_classes_containing_each_class():
 
 
 def test_blowup_modules_match_slow_oracle():
-    """On every semigroup of genus <= 7 and on <9..17>, the lane pass of
-    ulrichFacts gives, for each distinct blowup class T, exactly the
-    classes E with T + E = E, computed on the slow sets; T = S gives
-    every class, and the others are counted to show they occur."""
+    """On every semigroup of genus <= 7 and on <9..17>, the lane pass
+    ``modules`` that ulrichFacts reads gives, for each distinct blowup
+    class T, exactly the classes E with T + E = E, computed on the slow
+    sets; T = S gives every class, and the others are counted to show
+    they occur."""
     proper = 0
     for s in [*enumerate_up_to_genus(7), semigroup_from_generators(list(range(9, 18)))]:
         ctx = SemigroupContext(s)
         slow = [from_ideal(e) for e in ctx.classes]
         for t in sorted({ctx.pos(b) for b in ctx.blowups}):
             brute = sum(1 << e for e, a in enumerate(slow) if slow_sum(slow[t], a).same_set(a))
-            assert _modules(ctx, t) == brute, (str(s), t)
+            assert ctx.modules(t) == brute, (str(s), t)
             proper += brute.bit_count() < len(slow)
     assert proper
 

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +253,47 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "info", "3,5,7")
     assert code == 3
     assert err == "internal error: almost-symmetry test and Ulrich test disagree on <3,5,7>\n"
+
+
+class _FullStdout:
+    """A stdout on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv", [("ca", "3,5,7"), ("verify", "--suite", "theoremB", "--max-genus", "2")], ids=["ca", "verify"]
+)
+def test_stdout_os_error_exits_two_with_one_error_line(capsys, monkeypatch, argv):
+    """A stdout that cannot be written is an OS error like an unwritable
+    --out file: one line on stderr and exit 2, not 1, which means
+    violations."""
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="--jobs 2 starts a pool only with two usable CPUs",
+)
+def test_dead_pool_worker_exits_three(capsys, monkeypatch):
+    """A pool worker that dies is a failure, not a finding: the pool
+    raises ``BrokenProcessPool``, a ``RuntimeError``, and the run exits 3
+    with one ``internal error:`` line and nothing on stdout."""
+    parent = os.getpid()
+
+    def kill_worker(ctx, rec):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setitem(REGISTRY, "killsWorker", kill_worker)
+    code, out, err = run_cli(capsys, "verify", "--suite", "killsWorker", "--max-genus", "3", "--jobs", "2")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -2,7 +2,8 @@
 module of the package imports is read in that module, every module-level
 constant and every private function, method and class of the package is
 read by one of its modules, no module of the package imports
-``dataclasses``, and every source file parses as Python 3.10."""
+``dataclasses``, only the class table reads the packed class lanes, and
+every source file parses as Python 3.10."""
 
 import ast
 import importlib.util
@@ -161,6 +162,37 @@ def test_no_module_imports_dataclasses():
         if "dataclasses" in _module_level_imports(path.read_text(encoding="utf-8"))
     }
     assert importers == set()
+
+
+def _lane_readers(sources: dict[str, str]) -> list[str]:
+    """The modules among ``sources`` (name: text) that read ``_lanes`` or
+    ``_packed``, as a name or as an attribute."""
+    lane_names = {"_lanes", "_packed"}
+    return sorted(
+        name
+        for name, source in sources.items()
+        if any(
+            (isinstance(node, ast.Attribute) and node.attr in lane_names)
+            or (isinstance(node, ast.Name) and node.id in lane_names)
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_lane_reader_is_found():
+    sources = {"a": "ctx._lanes(x)\n", "b": "_packed = 1\n", "c": "lanes = packed\n"}
+    assert _lane_readers(sources) == ["a", "b"]
+
+
+def test_only_the_class_table_runs_lane_passes():
+    """Every lane pass over the packed class masks is a method of the
+    class table, ``annihilators.SemigroupContext``: no other module of
+    the package reads ``_lanes`` or ``_packed``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "nslab"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert "annihilators" in _lane_readers(sources)
+    del sources["annihilators"]
+    assert _lane_readers(sources) == []
 
 
 def test_every_file_parses_as_python_3_10():
