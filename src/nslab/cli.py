@@ -13,7 +13,8 @@ Exit codes: 0 on success / pass, 1 when a verify run found violations,
 an ``--out`` file that cannot be written or a full disk under stdout,
 reported as one ``error:`` line on stderr, 3 on any ``RuntimeError``: an
 internal consistency check that fails (``semigroups.InternalError``, a
-bug) or a verify pool worker that dies, reported as one ``internal
+bug), a verify pool worker that dies, or an interpreter limit such as
+the ``RecursionError`` of a very deep walk, reported as one ``internal
 error:`` line on stderr, 141 when stdout is closed before the output is
 written, as by ``| head`` (the code a shell gives a process that SIGPIPE
 ended; nothing is printed).  ``main`` is the only code that turns an
@@ -79,12 +80,11 @@ def _cmd_info(args) -> int:
     from .rings import Ring
 
     ring = Ring(parse_semigroup(args.gens))
-    payload = {
+    print(_dump({
         "semigroup": str(ring.s),
         "invariants": ring.inv.to_json_dict(),
         "classification": ring.classification.to_json_dict(),
-    }
-    print(_dump(payload))
+    }))
     return 0
 
 
@@ -160,8 +160,7 @@ def _cmd_ca(args) -> int:
     from .ideals import _dump
     from .annihilators import certify_cohomology_annihilator
 
-    s = parse_semigroup(args.gens)
-    cert = certify_cohomology_annihilator(s)
+    cert = certify_cohomology_annihilator(parse_semigroup(args.gens))
     print(_dump(cert.to_json_dict()))
     return 0
 
@@ -196,13 +195,22 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return handler(args)
-    except BrokenPipeError:  # before OSError, which it is
-        # The reader is gone: point stdout at devnull so that the flush at
-        # exit does not fail again (the recipe of the ``signal`` docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        code = handler(args)
+        # stdout into a file or a pipe is block-buffered: flush it here, so
+        # that a full disk or a closed pipe fails inside this try and not in
+        # the interpreter's own flush at exit (which would exit 120)
+        sys.stdout.flush()
+        return code
     except (ValueError, OSError) as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout cannot take what it holds: point it at devnull so that
+            # the flush at exit does not fail again (the recipe of the
+            # ``signal`` docs for a closed pipe, which holds for a full disk)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # an OSError: the reader is gone
+            return 141
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

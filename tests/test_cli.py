@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -256,10 +257,14 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
 
 
 class _FullStdout:
-    """A stdout on a full disk: every write fails with ENOSPC."""
+    """An unbuffered stdout on a full disk: every write fails with ENOSPC,
+    so nothing is left to flush."""
 
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
 
 
 @pytest.mark.parametrize(
@@ -275,9 +280,34 @@ def test_stdout_os_error_exits_two_with_one_error_line(capsys, monkeypatch, argv
     assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [("ca", "3,5,7"), ("info", "3,5,7"), ("enumerate", "--genus", "3"), ("verify", "--suite", "theoremB", "--max-genus", "2")],
+    ids=["ca", "info", "enumerate", "verify"],
+)
+def test_full_disk_under_block_buffered_stdout_exits_two(argv):
+    """Into a file stdout is block-buffered, so a small output is still in
+    the buffer when the handler returns: ``main`` flushes it, and the full
+    disk is reported as one ``error:`` line and exit 2, not as an ignored
+    exception at interpreter exit (exit 120)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(nslab.__file__).resolve().parents[1])
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nslab", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode()
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="--jobs 2 starts a pool only with two usable CPUs",
+)
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the suite is registered in this process only, so a worker must be forked to see it",
 )
 def test_dead_pool_worker_exits_three(capsys, monkeypatch):
     """A pool worker that dies is a failure, not a finding: the pool
@@ -355,10 +385,14 @@ def test_ideals_rows_match_json_dump_through_genus_8(capsys):
         (("ca", "3,68,70"), "9c299f89a563ff82287c1611a92387c10ba01c66e542a4c1538b752ce86a006c"),
         (("ideals", "4,37,39"), "2a403943f3a1b7ca8361c064906df3f4c1354aa6ecf5a985eacb587137db98fa"),
         (("ca", "4,37,39"), "be21aba5386cc749fc524e68dc051e851c2df75e39c6fedc638de5d54c2a26ba"),
+        (
+            ("ideals", "15,16,17,18,19,20,21,22,23,24,25,26,27,28,29"),
+            "ac1f9ce67c92389f547f38c358c3194a26d89da4311153fccf9cf4d64d11788e",
+        ),
     ],
     ids=[
         "ideals-7,9", "ca-7,9", "ideals-9..17", "ca-9..17", "ca-1", "ca-3,5,7", "info-1", "info-3,5,7",
-        "ideals-3,68,70", "ca-3,68,70", "ideals-4,37,39", "ca-4,37,39",
+        "ideals-3,68,70", "ca-3,68,70", "ideals-4,37,39", "ca-4,37,39", "ideals-15..29",
     ],
 )
 def test_query_output_bytes_pinned(capsys, argv, sha256):
